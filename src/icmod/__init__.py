@@ -1,7 +1,7 @@
 """Exact workbench for integrally closed modules over two-dimensional regular
 local rings, constructed from staircase monomial ideals."""
 
-from .algebra import BiPoly, Monomial, poly_add, poly_mul, rank_exact, truncate
+from .algebra import BiPoly, Monomial
 from .classify import (
     GapBound,
     GapEquality,
@@ -31,7 +31,6 @@ from .modmat import (
     fitting_ideal,
     from_ideal,
     matrix_from_json,
-    minors,
     module_spec,
     mu_module,
     signed_minor_table,

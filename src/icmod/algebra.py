@@ -2,16 +2,13 @@
 
 Everything in this module is immutable and pure, so values can be shared and
 evaluated concurrently without coordination.  Coefficients are arbitrary
-precision integers; ranks are ranks over the rationals.  A fixed prime field
-is used only as a certified fast path and never decides a rank on its own.
+precision integers; ranks are ranks over the rationals.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from typing import Iterable, NamedTuple
-
-FAST_PRIME = 1_000_003  # fixed prime > 10**6 for the elimination pre-pass
 
 
 def tri(n: int) -> int:
@@ -207,117 +204,6 @@ class BiPoly:
 
 X = BiPoly.term(1, 0)
 Y = BiPoly.term(0, 1)
-
-
-def poly_add(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Coefficientwise sum with zero terms dropped."""
-    return p + q
-
-
-def poly_mul(p: BiPoly, q: BiPoly) -> BiPoly:
-    """Exact product in canonical term order."""
-    return p * q
-
-
-def truncate(p: BiPoly, n: int) -> BiPoly:
-    """Drop all terms of total degree >= n (working modulo the n-th power of the maximal ideal)."""
-    if n < 0:
-        raise ValueError("truncation level must be nonnegative")
-    return BiPoly((m, c) for m, c in p._terms.items() if m.a + m.b < n)
-
-
-# ---------------------------------------------------------------------------
-# exact rank computation
-# ---------------------------------------------------------------------------
-
-def rank_exact(rows, prime_prepass: bool = True) -> int:
-    """Rank over the rationals of an integer matrix given as a list of rows.
-
-    A single fixed prime field elimination may certify the answer quickly:
-    the mod-p rank is always a lower bound, so full row or column rank mod p
-    is already exact.  Anything short of that falls back to fraction-free
-    Bareiss elimination over the integers.
-    """
-    mat = [list(map(int, row)) for row in rows]
-    if not mat:
-        return 0
-    n = len(mat[0])
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix rows have unequal lengths")
-    if n == 0:
-        return 0
-    if prime_prepass:
-        rp = _rank_mod_p([row[:] for row in mat], FAST_PRIME)
-        if rp == min(len(mat), n):
-            return rp
-    return _rank_bareiss([row[:] for row in mat])
-
-
-def _rank_mod_p(mat, p: int) -> int:
-    m, n = len(mat), len(mat[0])
-    for row in mat:
-        for j in range(n):
-            row[j] %= p
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for i in range(rank, m):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        prow = mat[rank]
-        for j in range(col, n):
-            prow[j] = prow[j] * inv % p
-        for i in range(rank + 1, m):
-            f = mat[i][col]
-            if f:
-                row = mat[i]
-                for j in range(col, n):
-                    row[j] = (row[j] - f * prow[j]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_bareiss(mat) -> int:
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    rows = list(range(m))
-    cols = list(range(n))
-    while rank < len(rows) and rank < len(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            for j in range(rank, len(cols)):
-                if mat[rows[i]][cols[j]]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        pi, pj = piv
-        rows[rank], rows[pi] = rows[pi], rows[rank]
-        cols[rank], cols[pj] = cols[pj], cols[rank]
-        pr = rows[rank]
-        pc = cols[rank]
-        pivot = mat[pr][pc]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            f = mat[ri][pc]
-            for j in range(rank + 1, len(cols)):
-                cj = cols[j]
-                mat[ri][cj] = (mat[ri][cj] * pivot - f * mat[pr][cj]) // prev
-            mat[ri][pc] = 0
-        prev = pivot
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

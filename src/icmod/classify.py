@@ -103,9 +103,8 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
     only through the two machine-checkable certificates.
     """
     notes: list[str] = []
-    work = ideal
-    if work.is_m_primary and not work.is_normalized:
-        work = work.swap_axes()
+    work = ideal.normalized()
+    if work != ideal:
         notes.append("axes_swapped")
     try:
         mat = build_module(work, rank)
@@ -159,8 +158,7 @@ def audit_gap_equality(ideal: MonomialIdeal, rank: int, cap: int = 64) -> GapEqu
 
     Only meaningful when the minor ideal is complete; refuses otherwise.
     """
-    work = ideal if ideal.is_normalized or not ideal.is_m_primary else ideal.swap_axes()
-    mat = build_module(work, rank)
+    mat = build_module(ideal.normalized(), rank)
     fit = fitting_ideal(mat, rank)
     if not fit.is_complete():
         raise PreconditionNotMet("minor ideal is not complete")

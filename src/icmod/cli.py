@@ -101,8 +101,7 @@ def _cmd_classify(args) -> int:
     if not ideal.is_m_primary:
         raise ValueError("classification needs an m-primary staircase")
     if args.rank == "all":
-        work = ideal if ideal.is_normalized else ideal.swap_axes()
-        ranks = list(range(2, work.r + 1))
+        ranks = list(range(2, ideal.r + 1))
     else:
         try:
             ranks = [int(args.rank)]
@@ -171,9 +170,7 @@ def _cmd_audit(args) -> int:
     elif args.check == "gap-bound":
         obj = _load_ideal_or_matrix(args.input)
         if isinstance(obj, staircase.MonomialIdeal):
-            obj = modmat.build_module(
-                obj if obj.is_normalized else obj.swap_axes(), args.rank
-            )
+            obj = modmat.build_module(obj.normalized(), args.rank)
         rec = audit_gap_bound(obj, obj.rank, cap=args.trunc_cap)
         _emit({"diff": rec.diff, "bound": rec.bound, "pass": rec.passed}, args.json)
     elif args.check == "split":
@@ -186,9 +183,7 @@ def _cmd_audit(args) -> int:
     elif args.check == "summand":
         obj = _load_ideal_or_matrix(args.input)
         if isinstance(obj, staircase.MonomialIdeal):
-            obj = modmat.build_module(
-                obj if obj.is_normalized else obj.swap_axes(), args.rank
-            )
+            obj = modmat.build_module(obj.normalized(), args.rank)
         rec = audit_summand_hypotheses(obj)
         _emit(
             {

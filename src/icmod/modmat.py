@@ -36,8 +36,8 @@ class NotFiniteColength(RuntimeError):
     """Nakayama certificate failed up to the configured truncation cap."""
 
 
-class _AbortColength(Exception):
-    """Internal: partial colength already exceeded the caller's threshold."""
+class AbortColength(Exception):
+    """Partial colength already exceeded the caller's threshold."""
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,26 @@ class PresMatrix:
         }
 
 
+def _is_term(term) -> bool:
+    return (isinstance(term, list) and len(term) == 3
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in term))
+
+
 def matrix_from_json(obj) -> PresMatrix:
     if not isinstance(obj, dict) or "rank" not in obj or "cols" not in obj:
         raise ValueError('matrix JSON must be an object with "rank" and "cols"')
     rank = obj["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError('"rank" must be a positive integer')
+    if not isinstance(obj["cols"], list):
+        raise ValueError('"cols" must be a list of columns')
     cols = []
     for col in obj["cols"]:
         if not isinstance(col, list) or len(col) != rank:
             raise ValueError("each column must list one entry per row")
+        for entry in col:
+            if not isinstance(entry, list) or not all(map(_is_term, entry)):
+                raise ValueError(f"entry {entry!r} is not a list of [a, b, c] integer triples")
         cols.append(tuple(BiPoly.from_triples(entry) for entry in col))
     return PresMatrix(rank, tuple(cols))
 
@@ -162,151 +172,44 @@ def direct_sum(p1: PresMatrix, p2: PresMatrix) -> PresMatrix:
 def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
     """All nonzero t-by-t minors keyed by (row tuple, column tuple).
 
-    Enumerates column-to-row assignments depth first, pruning branches where
-    the earliest uncovered row has no remaining supporting column, so only
-    subsets that can carry a nonzero determinant are visited.  Matrices whose
-    entries are all single terms run on plain integer triples.
+    Laplace expansion along the rows of each row subset: the partial minor of
+    the first k rows is kept per set of used columns (a bitmask) as a sparse
+    term dict, and dropped as soon as it cancels to zero, so only column sets
+    that can still carry a nonzero determinant are extended.
     """
     e = mat.rank
     if not 1 <= t <= e:
         raise ValueError(f"minor size must lie in 1..{e}")
-    if all(entry.num_terms <= 1 for col in mat.cols for entry in col):
-        return _minor_table_monomial(mat, t)
-    return _minor_table_general(mat, t)
-
-
-def _minor_table_monomial(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
-    e = mat.rank
-    m = mat.ncols
-    colterms = []
-    for col in mat.cols:
-        terms = []
+    row_entries: list[list] = [[] for _ in range(e)]
+    for j, col in enumerate(mat.cols):
         for i, entry in enumerate(col):
             if entry:
-                a, b, c = entry.single_term()
-                terms.append((i, a, b, c))
-        colterms.append(terms)
+                row_entries[i].append((j, [(m.a, m.b, c) for m, c in entry.items()]))
     table: dict[tuple, BiPoly] = {}
     for rows in combinations(range(e), t):
-        inset = [False] * e
+        partial: dict[int, dict] = {0: {(0, 0): 1}}
         for i in rows:
-            inset[i] = True
-        last = [-1] * e
-        for j, terms in enumerate(colterms):
-            for i, _a, _b, _c in terms:
-                if inset[i]:
-                    last[i] = j
-        if any(last[i] < 0 for i in rows):
-            continue
-        used = [False] * e
-        chosen_rows: list[int] = []
-        chosen_cols: list[int] = []
-        acc: dict[tuple, dict] = {}
-
-        def walk(j: int, ca: int, cb: int, cc: int) -> None:
-            k = len(chosen_rows)
-            if k == t:
-                key = tuple(chosen_cols)
-                d = acc.get(key)
-                if d is None:
-                    d = {}
-                    acc[key] = d
-                mon = (ca, cb)
-                nc = d.get(mon, 0) + cc
-                if nc:
-                    d[mon] = nc
-                elif mon in d:
-                    del d[mon]
-                return
-            if m - j < t - k:
-                return
-            for i in rows:
-                if not used[i]:
-                    first = i
-                    break
-            if last[first] < j:
-                return
-            walk(j + 1, ca, cb, cc)
-            for i, a, b, c in colterms[j]:
-                if inset[i] and not used[i]:
-                    inv = 0
-                    for rr in chosen_rows:
-                        if rr > i:
-                            inv += 1
-                    used[i] = True
-                    chosen_rows.append(i)
-                    chosen_cols.append(j)
-                    walk(j + 1, ca + a, cb + b, -cc * c if inv & 1 else cc * c)
-                    chosen_cols.pop()
-                    chosen_rows.pop()
-                    used[i] = False
-
-        walk(0, 0, 0, 1)
-        for key, d in acc.items():
-            if d:
-                table[(rows, key)] = BiPoly(d)
+            grown: dict[int, dict] = {}
+            for mask, poly in partial.items():
+                for j, terms in row_entries[i]:
+                    if mask >> j & 1:
+                        continue
+                    # moving column j into sorted position passes every used column right of it
+                    sign = -1 if (mask >> j).bit_count() & 1 else 1
+                    acc = grown.setdefault(mask | 1 << j, {})
+                    for (pa, pb), pc in poly.items():
+                        for a, b, c in terms:
+                            mon = (pa + a, pb + b)
+                            nc = acc.get(mon, 0) + sign * pc * c
+                            if nc:
+                                acc[mon] = nc
+                            else:
+                                acc.pop(mon, None)
+            partial = {mask: poly for mask, poly in grown.items() if poly}
+        for mask, poly in partial.items():
+            cols = tuple(j for j in range(mat.ncols) if mask >> j & 1)
+            table[(rows, cols)] = BiPoly(poly)
     return table
-
-
-def _minor_table_general(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
-    e = mat.rank
-    m = mat.ncols
-    support = [tuple(i for i, entry in enumerate(col) if entry) for col in mat.cols]
-    table: dict[tuple, BiPoly] = {}
-
-    for rows in combinations(range(e), t):
-        rowset = frozenset(rows)
-        last: dict[int, int] = {}
-        for j, sup in enumerate(support):
-            for i in sup:
-                if i in rowset:
-                    last[i] = j
-        if len(last) < t:
-            continue
-        used = [False] * e
-        chosen_cols: list[int] = []
-        chosen_rows: list[int] = []
-
-        def walk(j: int, prod: BiPoly, sign: int) -> None:
-            k = len(chosen_rows)
-            if k == t:
-                key = (rows, tuple(chosen_cols))
-                piece = prod if sign > 0 else -prod
-                acc = table.get(key)
-                table[key] = piece if acc is None else acc + piece
-                return
-            if m - j < t - k:
-                return
-            first = next(i for i in rows if not used[i])
-            if last[first] < j:
-                return
-            walk(j + 1, prod, sign)
-            for i in support[j]:
-                if i not in rowset or used[i]:
-                    continue
-                inv = sum(1 for rr in chosen_rows if rr > i)
-                used[i] = True
-                chosen_rows.append(i)
-                chosen_cols.append(j)
-                walk(j + 1, prod * mat.cols[j][i], sign * (-1) ** inv)
-                chosen_cols.pop()
-                chosen_rows.pop()
-                used[i] = False
-
-        walk(0, BiPoly.one(), 1)
-
-    return {key: det for key, det in table.items() if det}
-
-
-def minors(mat: PresMatrix, t: int) -> list[BiPoly]:
-    """All t-by-t minors over all row and column subsets, duplicates retained."""
-    table = signed_minor_table(mat, t)
-    zero = BiPoly.zero()
-    out = []
-    for rows in combinations(range(mat.rank), t):
-        for cols in combinations(range(mat.ncols), t):
-            out.append(table.get((rows, cols), zero))
-    return out
 
 
 def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
@@ -405,7 +308,7 @@ def _tail_certified(span, e: int, level: int, deg: int) -> bool:
     return True
 
 
-def _colength_engine(mat: PresMatrix, cap: int, abort_above: int | None = None,
+def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None,
                      start: int | None = None) -> tuple[int, int]:
     """Certified colength and the truncation level that certified it.
 
@@ -422,7 +325,7 @@ def _colength_engine(mat: PresMatrix, cap: int, abort_above: int | None = None,
         _fill_span(span, cols, e, level + 1, 0)
         deficiency = e * tri(level + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
-            raise _AbortColength(deficiency)
+            raise AbortColength(deficiency)
         if _tail_certified(span, e, level + 1, level):
             return deficiency, level
         level += 2
@@ -437,7 +340,7 @@ def colength_module(mat: PresMatrix, cap: int = 64) -> int:
     vector lies in the span computed at level N+1.  N starts two past the
     largest entry degree and steps by two until the certificate passes.
     """
-    return _colength_engine(mat, cap)[0]
+    return certified_colength(mat, cap)[0]
 
 
 def mu_module(mat: PresMatrix, cap: int = 64) -> int:

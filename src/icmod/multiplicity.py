@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from .algebra import BiPoly
 from .modmat import (
+    AbortColength,
     NotFiniteColength,
     PresMatrix,
-    _AbortColength,
-    _colength_engine,
+    certified_colength,
     signed_minor_table,
 )
 from .staircase import MonomialIdeal
@@ -94,8 +94,8 @@ def _sample_minimum(draw, trials: int, seed: int, cap: int) -> ReductionSample:
             orders = sorted(g.order for g in gens)
             start = max(3, orders[0] + orders[1] + 1)
         try:
-            value, level = _colength_engine(mat, cap, abort_above=best, start=start)
-        except _AbortColength:
+            value, level = certified_colength(mat, cap, abort_above=best, start=start)
+        except AbortColength:
             continue  # completed trial, provably not the minimum
         except NotFiniteColength:
             degenerate += 1
@@ -136,55 +136,26 @@ def reduction_multiplicity(ideal: MonomialIdeal, trials: int = 4, seed: int = 0,
     return _sample_minimum(draw, trials, seed, cap)
 
 
-def _maximal_minors_of_combination(table, lam) -> list[BiPoly]:
-    """Maximal minors of the matrix whose e+1 columns are lam-combinations.
+def _sampled_minors(mat: PresMatrix, lam) -> list[BiPoly]:
+    """Maximal minors of the e x (e+1) matrix mat * lam, the k-th omitting column k.
 
-    By the Cauchy-Binet expansion each minor is an integer combination of the
-    signed maximal minors of the original matrix, so nothing beyond integer
-    determinants of the coefficient matrix is needed.
+    Empty when a combined column vanishes: every minor but one is zero then.
     """
-    width = len(lam[0])  # e + 1
-    acc: list[dict] = [dict() for _ in range(width)]
-    for (rows, cols), det in table.items():
-        sub = [lam[j] for j in cols]  # t rows, width columns
-        for drop in range(width):
-            keep = [row[:drop] + row[drop + 1 :] for row in sub]
-            w = _int_det(keep)
-            if not w:
-                continue
-            target = acc[drop]
-            for mon, c in det.items():
-                nc = target.get(mon, 0) + c * w
-                if nc:
-                    target[mon] = nc
-                elif mon in target:
-                    del target[mon]
-    return [BiPoly(d) for d in acc]
-
-
-def _int_det(mat) -> int:
-    """Fraction-free determinant of a small square integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    e = mat.rank
+    cols = []
+    for k in range(e + 1):
+        col = tuple(
+            BiPoly((mon, c * w[k]) for src, w in zip(mat.cols, lam) for mon, c in src[i].items())
+            for i in range(e)
+        )
+        if not any(col):
+            return []
+        cols.append(col)
+    table = signed_minor_table(PresMatrix(e, tuple(cols)), e)
+    rows = tuple(range(e))
+    zero = BiPoly.zero()
+    return [table.get((rows, tuple(j for j in range(e + 1) if j != k)), zero)
+            for k in range(e + 1)]
 
 
 def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
@@ -197,7 +168,6 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     agreement of the minimum across trials, as for ideals.
     """
     e = mat.rank
-    table = signed_minor_table(mat, e)
 
     def draw(rng):
         lam = [
@@ -205,7 +175,7 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
             for _ in range(mat.ncols)
         ]
         coeffs = tuple(tuple(row) for row in lam)
-        gens = [g for g in _maximal_minors_of_combination(table, lam) if g]
+        gens = [g for g in _sampled_minors(mat, lam) if g]
         if len(gens) < 2:
             return coeffs, [BiPoly.zero()]  # degenerate draw
         return coeffs, gens

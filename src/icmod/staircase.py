@@ -29,13 +29,13 @@ class NotComplete(ValueError):
 
 
 def _minimalize(points: list[Monomial]) -> list[Monomial]:
-    points = sorted(set(points))
+    # in (a, b) order a point is minimal iff its b is below every earlier b;
+    # the kept points then have a increasing and b strictly decreasing
     keep: list[Monomial] = []
-    for p in points:
-        if not any(q.divides(p) for q in keep):
-            keep = [q for q in keep if not p.divides(q)]
+    for p in sorted(points):
+        if not keep or p.b < keep[-1].b:
             keep.append(p)
-    return sorted(keep, key=lambda m: (-m.a, m.b))
+    return keep[::-1]
 
 
 def canonicalize(points: Iterable, require_primary: bool = False) -> "MonomialIdeal":
@@ -227,6 +227,15 @@ class MonomialIdeal:
     def swap_axes(self) -> "MonomialIdeal":
         """Exchange the roles of x and y."""
         return canonicalize([Monomial(g.b, g.a) for g in self.gens])
+
+    def normalized(self) -> "MonomialIdeal":
+        """The ideal with axes swapped when the pure x power exceeds the pure y power.
+
+        Returned unchanged when already normalized or not m-primary.
+        """
+        if self.is_normalized or not self.is_m_primary:
+            return self
+        return self.swap_axes()
 
     def to_pairs(self) -> list[list[int]]:
         return [[g.a, g.b] for g in self.gens]

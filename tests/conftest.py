@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own algorithms: colengths come
 from lattice scans, hull vertices from pairwise domination tests over exact
-fractions, and determinants from permutation expansion.
+fractions, determinants from permutation expansion, and ranks from dense
+fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -88,6 +89,32 @@ def permutation_det(entries) -> ic.BiPoly:
             prod = prod * entries[i][perm[i]]
         total = total + (prod if sign > 0 else -prod)
     return total
+
+
+def rank_exact(rows) -> int:
+    """Rank over the rationals of an integer matrix, by Bareiss elimination."""
+    mat = [list(map(int, row)) for row in rows]
+    if not mat or not mat[0]:
+        return 0
+    m, n = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(n):
+        piv = next((i for i in range(rank, m) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivot = mat[rank][col]
+        for i in range(rank + 1, m):
+            f = mat[i][col]
+            for j in range(col + 1, n):
+                mat[i][j] = (mat[i][j] * pivot - f * mat[rank][j]) // prev
+            mat[i][col] = 0
+        prev = pivot
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,16 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _out, err = run(capsys, ["closure", str(nonprimary)])
     assert code == 2
 
+    short_term = tmp_path / "short_term.json"
+    short_term.write_text(json.dumps({"rank": 1, "cols": [[[[1, 0]]]]}))
+    code, _out, err = run(capsys, ["length", str(short_term)])
+    assert code == 2 and err
+
+    flat_cols = tmp_path / "flat_cols.json"
+    flat_cols.write_text(json.dumps({"rank": 1, "cols": 5}))
+    code, _out, err = run(capsys, ["length", str(flat_cols)])
+    assert code == 2 and err
+
 
 def test_factor_command(tmp_path, capsys, example_reference):
     path = write_ideal(tmp_path, example_reference)

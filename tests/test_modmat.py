@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icmod as ic
 from icmod.algebra import BiPoly, X, Y
@@ -53,12 +57,10 @@ def test_module_spec_invariants(showcase_b):
 
 
 def test_minors_counts_and_band_recursion(showcase_a):
-    mat = ic.build_module(showcase_a, 4)
-    assert len(ic.minors(mat, 4)) == 126
-    ones = ic.minors(ic.build_module(showcase_a, 2), 1)
-    nonzero = [p for p in ones if p]
-    entries = [e for col in ic.build_module(showcase_a, 2).cols for e in col if e]
-    assert sorted(str(p) for p in nonzero) == sorted(str(e) for e in entries)
+    mat = ic.build_module(showcase_a, 2)
+    ones = ic.signed_minor_table(mat, 1).values()
+    entries = [e for col in mat.cols for e in col if e]
+    assert sorted(str(p) for p in ones) == sorted(str(e) for e in entries)
 
     # 2x4 band with unit y-powers: top minors generate the maximal ideal squared
     band = PresMatrix(2, ((X, BiPoly.zero()), (Y, X), (Y, BiPoly.zero()),
@@ -67,8 +69,6 @@ def test_minors_counts_and_band_recursion(showcase_a):
 
 
 def test_minor_table_against_permutation_expansion(showcase_a):
-    from itertools import combinations
-
     mat = ic.build_module(showcase_a, 3)
     table = ic.signed_minor_table(mat, 3)
     rows = (0, 1, 2)
@@ -76,6 +76,33 @@ def test_minor_table_against_permutation_expansion(showcase_a):
         entries = [[mat.cols[j][i] for j in cs] for i in range(3)]
         expected = permutation_det(entries)
         assert table.get((rows, cs), BiPoly.zero()) == expected
+
+
+small_entries = st.dictionaries(
+    keys=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    values=st.integers(-2, 2),
+    max_size=3,
+).map(BiPoly)
+
+
+@st.composite
+def small_matrices(draw):
+    e = draw(st.integers(1, 4))
+    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
+    return PresMatrix(e, tuple(draw(st.lists(column, min_size=1, max_size=6))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_minor_table_matches_permutation_expansion_on_multi_term_matrices(mat):
+    for t in range(1, mat.rank + 1):
+        expected = {}
+        for rows in combinations(range(mat.rank), t):
+            for cs in combinations(range(mat.ncols), t):
+                det = permutation_det([[mat.cols[j][i] for j in cs] for i in rows])
+                if det:
+                    expected[(rows, cs)] = det
+        assert ic.signed_minor_table(mat, t) == expected
 
 
 def test_fitting_ideal_examples(showcase_a):

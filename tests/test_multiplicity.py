@@ -5,7 +5,7 @@ import pytest
 import icmod as ic
 from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix
-from icmod.multiplicity import _maximal_minors_of_combination
+from icmod.multiplicity import _sampled_minors
 
 from conftest import permutation_det
 
@@ -61,13 +61,12 @@ def test_module_multiplicity_infinite_colength():
         ic.module_multiplicity(single, trials=2, seed=0, cap=16)
 
 
-def test_cauchy_binet_matches_direct_minors(showcase_a):
+def test_sampled_minors_match_permutation_expansion(showcase_a):
     mat = ic.build_module(showcase_a, 3)
-    table = ic.signed_minor_table(mat, 3)
     rng = random.Random(42)
     lam = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(mat.ncols)]
-    combos = _maximal_minors_of_combination(table, lam)
-    # direct route: build the combined 3x4 polynomial matrix and expand
+    minors = _sampled_minors(mat, lam)
+    # the combined 3x4 polynomial matrix, expanded independently
     w = [[BiPoly.zero() for _ in range(4)] for _ in range(3)]
     for j, col in enumerate(mat.cols):
         for i in range(3):
@@ -75,7 +74,10 @@ def test_cauchy_binet_matches_direct_minors(showcase_a):
                 w[i][jj] = w[i][jj] + col[i] * lam[j][jj]
     for drop in range(4):
         entries = [[w[i][jj] for jj in range(4) if jj != drop] for i in range(3)]
-        assert combos[drop] == permutation_det(entries)
+        assert minors[drop] == permutation_det(entries)
+    # a combination that kills a column leaves a degenerate draw
+    lam = [row[:3] + [0] for row in lam]
+    assert _sampled_minors(mat, lam) == []
 
 
 def test_seed_determinism_and_seed_invariance(showcase_b):
