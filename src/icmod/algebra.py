@@ -301,7 +301,7 @@ class PivotSpan:
 
     __slots__ = ("pivots", "rank")
 
-    def __init__(self, n: int | None = None):
+    def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
         self.rank = 0
 
@@ -357,8 +357,7 @@ class PivotSpan:
         return row, None
 
     def add(self, row) -> bool:
-        work = dict(row) if not isinstance(row, dict) else dict(row)
-        work = {c: v for c, v in work.items() if v}
+        work = {c: v for c, v in dict(row).items() if v}
         work, lead = self._reduce(work)
         if lead is None:
             return False

@@ -28,6 +28,7 @@ from .staircase import (
     NotComplete,
     NotPrimary,
     maximal_ideal_power,
+    simple_closure,
 )
 
 TAG_LOW_RANK = "thm_5_2"
@@ -219,7 +220,6 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
     chosen = set(part1)
     if not chosen or not chosen < set(range(len(factors))):
         raise ValueError("part1 must be a proper nonempty subset of factor indices")
-    from .staircase import simple_closure
 
     def block(indices) -> MonomialIdeal:
         acc = None

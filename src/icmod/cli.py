@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import modmat, multiplicity, staircase
 from .classify import (
@@ -24,21 +24,27 @@ from .classify import (
 )
 
 ATLAS_MAX_BOUND = 12
-ATLAS_COLUMNS = [
-    "ideal_gens",
-    "r",
-    "order",
-    "complete",
-    "e",
-    "fitting_gens",
-    "integrally_closed",
-    "verdict",
-    "prop51_diff",
-]
+RENDER_MAX_EXPONENT = 1000
+MAX_TRIALS = 100
 
 
 class BoundsTooLarge(ValueError):
-    """Atlas bounds exceed the guardrail."""
+    """Input or flag value exceeds a size guardrail."""
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_json(path: str):
@@ -102,6 +108,8 @@ def _cmd_classify(args) -> int:
         raise ValueError("classification needs an m-primary staircase")
     if args.rank == "all":
         ranks = list(range(2, ideal.r + 1))
+        if not ranks:
+            raise ValueError("--rank all needs ranks 2..r, so at least three generators")
     else:
         try:
             ranks = [int(args.rank)]
@@ -131,27 +139,20 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    if args.trials > MAX_TRIALS:
+        raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
     obj = _load_ideal_or_matrix(args.input)
     out: dict = {}
     if isinstance(obj, staircase.MonomialIdeal):
         if args.route in ("area", "both"):
             out["area"] = multiplicity.area_multiplicity(obj)
-        if args.route in ("reduction", "both"):
-            sample = multiplicity.reduction_multiplicity(
-                obj, trials=args.trials, seed=args.seed, cap=args.trunc_cap
-            )
-            out["reduction"] = {
-                "value": sample.value,
-                "certified": sample.certified,
-                "seed": sample.seed,
-                "trials": args.trials,
-            }
+        sampler = multiplicity.reduction_multiplicity
+    elif args.route == "area":
+        raise ValueError("the area route applies to ideals, not matrices")
     else:
-        if args.route == "area":
-            raise ValueError("the area route applies to ideals, not matrices")
-        sample = multiplicity.module_multiplicity(
-            obj, trials=args.trials, seed=args.seed, cap=args.trunc_cap
-        )
+        sampler = multiplicity.module_multiplicity
+    if args.route in ("reduction", "both"):
+        sample = sampler(obj, trials=args.trials, seed=args.seed, cap=args.trunc_cap)
         out["reduction"] = {
             "value": sample.value,
             "certified": sample.certified,
@@ -209,31 +210,16 @@ class AtlasRow:
     verdict: str
     prop51_diff: int | None
 
-    def csv_values(self) -> list:
-        return [
-            _encode_gens(self.ideal_gens),
-            self.r,
-            self.order,
-            self.complete,
-            self.e,
-            _encode_gens(self.fitting_gens),
-            self.integrally_closed,
-            self.verdict,
-            "" if self.prop51_diff is None else self.prop51_diff,
-        ]
-
     def to_json(self) -> dict:
-        return {
-            "ideal_gens": self.ideal_gens,
-            "r": self.r,
-            "order": self.order,
-            "complete": self.complete,
-            "e": self.e,
-            "fitting_gens": self.fitting_gens,
-            "integrally_closed": self.integrally_closed,
-            "verdict": self.verdict,
-            "prop51_diff": self.prop51_diff,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def csv_values(self) -> list:
+        # generator lists encode as a:b;a:b, an absent gap as the empty cell
+        return [_encode_gens(v) if isinstance(v, list) else "" if v is None else v
+                for v in self.to_json().values()]
+
+
+ATLAS_COLUMNS = [f.name for f in fields(AtlasRow)]
 
 
 def _encode_gens(pairs) -> str:
@@ -302,6 +288,8 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
     hullset = set(hull)
     max_a = ideal.gens[0].a
     max_b = ideal.gens[-1].b
+    if max(max_a, max_b) > RENDER_MAX_EXPONENT:
+        raise BoundsTooLarge(f"rendering is capped at pure powers up to {RENDER_MAX_EXPONENT}")
     scale = 24
     pad = 20
     width = max_a * scale + 2 * pad
@@ -369,7 +357,7 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--trials", type=int,
                         help="trials for randomized reductions (default 4)",
                         **({"default": 4} if top else d))
-    parser.add_argument("--trunc-cap", type=int, dest="trunc_cap",
+    parser.add_argument("--trunc-cap", type=_int_at_least(2), dest="trunc_cap",
                         help="truncation level cap for colength certificates",
                         **({"default": 64} if top else d))
 
@@ -429,8 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("atlas", parents=[common],
                        help="batch classification over a bounded box")
-    p.add_argument("--max-a", type=int, required=True, dest="max_a")
-    p.add_argument("--max-b", type=int, required=True, dest="max_b")
+    p.add_argument("--max-a", type=_int_at_least(1), required=True, dest="max_a")
+    p.add_argument("--max-b", type=_int_at_least(1), required=True, dest="max_b")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--filter", choices=["all", "simple", "nonsimple"], default="all")
     p.add_argument("--out", default="")

@@ -89,8 +89,8 @@ def matrix_from_json(obj) -> PresMatrix:
     rank = obj["rank"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ValueError('"rank" must be a positive integer')
-    if not isinstance(obj["cols"], list):
-        raise ValueError('"cols" must be a list of columns')
+    if not isinstance(obj["cols"], list) or not obj["cols"]:
+        raise ValueError('"cols" must be a nonempty list of columns')
     cols = []
     for col in obj["cols"]:
         if not isinstance(col, list) or len(col) != rank:
@@ -275,7 +275,7 @@ def _start_level(cols) -> int:
     return max(a + b for terms, _o in cols for _k, a, b, _c in terms) + 2
 
 
-def _fill_span(span, cols, e: int, level: int, min_deg: int) -> None:
+def _fill_span(span, cols, level: int, min_deg: int) -> None:
     block = tri(level)
     for terms, ordj in cols:
         for d in range(min_deg, level - ordj):
@@ -290,10 +290,6 @@ def _fill_span(span, cols, e: int, level: int, min_deg: int) -> None:
                         row.append((k * block + tri(dd) + yb, c))
                 if row:
                     span.add(row)
-
-
-def _make_span(graph: bool, size: int):
-    return GraphSpan(size) if graph else PivotSpan(size)
 
 
 def _tail_certified(span, e: int, level: int, deg: int) -> bool:
@@ -321,8 +317,8 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
     e = mat.rank
     level = _start_level(cols) if start is None else max(2, start)
     while level <= cap:
-        span = _make_span(graph, e * tri(level + 1))
-        _fill_span(span, cols, e, level + 1, 0)
+        span = GraphSpan(e * tri(level + 1)) if graph else PivotSpan()
+        _fill_span(span, cols, level + 1, 0)
         deficiency = e * tri(level + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
             raise AbortColength(deficiency)
@@ -357,8 +353,8 @@ def mu_module(mat: PresMatrix, cap: int = 64) -> int:
     level = _start_level(cols)
     while level <= cap:
         block = tri(level)
-        span = _make_span(graph, e * block)
-        _fill_span(span, cols, e, level, 1)
+        span = GraphSpan(e * block) if graph else PivotSpan()
+        _fill_span(span, cols, level, 1)
         gained = 0
         for terms, _o in cols:
             row = []

@@ -10,6 +10,7 @@ coefficient field.  All values are immutable; functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -104,7 +105,8 @@ class MonomialIdeal:
 
     @property
     def is_m_primary(self) -> bool:
-        return self.gens[0].b == 0 and self.gens[-1].a == 0
+        # the unit ideal (one generator x^0 y^0) touches both axes but is not proper
+        return len(self.gens) > 1 and self.gens[0].b == 0 and self.gens[-1].a == 0
 
     @property
     def is_normalized(self) -> bool:
@@ -283,8 +285,6 @@ def enumerate_staircases(max_a: int, max_b: int, min_r: int = 1,
 
     star_only keeps only those with the pure x power at most the pure y power.
     """
-    from itertools import combinations
-
     top = min(max_a, max_b)
     for r in range(max(min_r, 1), top + 1):
         for aset in combinations(range(1, max_a + 1), r):

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import sys
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import atlas_rows, main, render_svg
+from icmod.cli import MAX_TRIALS, RENDER_MAX_EXPONENT, atlas_rows, main, render_svg
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -12,7 +17,10 @@ def write_ideal(tmp_path, ideal, name="ideal.json"):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -56,6 +64,51 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     flat_cols.write_text(json.dumps({"rank": 1, "cols": 5}))
     code, _out, err = run(capsys, ["length", str(flat_cols)])
     assert code == 2 and err
+
+    no_cols = tmp_path / "no_cols.json"
+    no_cols.write_text(json.dumps({"rank": 2, "cols": []}))
+    for verb in (["length"], ["mult"]):
+        code, _out, err = run(capsys, verb + [str(no_cols)])
+        assert code == 2 and "cols" in err, verb
+
+    # the unit ideal is not m-primary, so no verb reports a value for it
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps({"gens": [[0, 0]]}))
+    for verb in (["closure"], ["factor"], ["classify"], ["construct", "--rank", "2"],
+                 ["length"], ["mult"], ["mult", "--route", "reduction"], ["render"],
+                 ["audit", "--check", "gap-equality"], ["audit", "--check", "gap-bound"],
+                 ["audit", "--check", "split", "--part1", "0"],
+                 ["audit", "--check", "summand"]):
+        code, out, err = run(capsys, verb + [str(unit)])
+        assert code == 2 and not out and err, verb
+
+    # with two generators there is no rank 2..r to classify
+    path = write_ideal(tmp_path, ic.maximal_ideal())
+    code, out, err = run(capsys, ["classify", path])
+    assert code == 2 and not out and err
+
+    # flag values outside their range are refused by the parser
+    for argv in (["--trunc-cap", "1", "length", path], ["mult", path, "--trunc-cap", "0"],
+                 ["atlas", "--max-a", "0", "--max-b", "4"],
+                 ["atlas", "--max-a", "4", "--max-b", "-1"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "at least" in err, argv
+
+
+def test_size_guardrails_exit_4(tmp_path, capsys):
+    big = RENDER_MAX_EXPONENT + 1
+    path = write_ideal(tmp_path, ic.canonicalize([(big, 0), (0, big)]))
+    code, out, err = run(capsys, ["render", path])
+    assert code == 4 and not out and err
+    edge = write_ideal(tmp_path, ic.canonicalize([(RENDER_MAX_EXPONENT, 0), (0, 1)]), "e.json")
+    code, out, _err = run(capsys, ["render", edge])
+    assert code == 0 and out.startswith("<svg")
+
+    path = write_ideal(tmp_path, ic.maximal_ideal(), "m.json")
+    code, out, err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS + 1)])
+    assert code == 4 and not out and err
+    code, out, _err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS)])
+    assert code == 0 and json.loads(out)["reduction"]["value"] == 1
 
 
 def test_factor_command(tmp_path, capsys, example_reference):
@@ -199,3 +252,78 @@ def test_roundtrip_of_emitted_ideals(tmp_path, capsys, showcase_b):
     obj = json.loads(out)
     again = ic.from_json({"gens": obj["gens"]})
     assert again == showcase_b
+
+
+# small, often malformed inputs and flag values for the exit-code property
+_exp = st.integers(-1, 10)
+_ideal_json = st.one_of(
+    st.builds(lambda a, b, mid: {"gens": [[a, 0]] + mid + [[0, b]]}, st.integers(1, 10),
+              st.integers(1, 10), st.lists(st.tuples(_exp, _exp).map(list), max_size=4)),
+    st.fixed_dictionaries({"gens": st.lists(st.tuples(_exp, _exp).map(list), max_size=5)}),
+    st.fixed_dictionaries({"gens": st.lists(st.lists(_exp, max_size=3), max_size=4)}),
+    st.sampled_from([[], {}, {"gens": 3}, {"gens": [[1, True]]}, {"gens": [[0, 0]]}, None]),
+)
+_entry = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                            st.sampled_from([-2, -1, 1, 2])).map(list), min_size=1, max_size=2)
+_bad_entry = st.lists(st.lists(st.integers(-1, 6), max_size=4), max_size=2)
+_matrix_json = st.one_of(
+    st.integers(1, 3).flatmap(lambda rank: st.fixed_dictionaries({
+        "rank": st.just(rank),
+        "cols": st.lists(st.lists(_entry, min_size=rank, max_size=rank), min_size=1,
+                         max_size=5),
+    })),
+    st.fixed_dictionaries({
+        "rank": st.sampled_from([0, -1, 2, "2", True]),
+        "cols": st.one_of(st.lists(st.lists(_bad_entry, max_size=3), max_size=3),
+                          st.sampled_from([[], 5, [[1, 0]]])),
+    }),
+)
+_ideal_verbs = [["closure"], ["factor"], ["classify"], ["classify", "--rank", "x"],
+                ["construct", "--rank", "2"], ["length"], ["mult"],
+                ["mult", "--route", "reduction"], ["render"],
+                ["audit", "--check", "gap-equality", "--rank", "2"],
+                ["audit", "--check", "gap-bound", "--rank", "3"],
+                ["audit", "--check", "split", "--part1", "0"],
+                ["audit", "--check", "summand", "--rank", "2"]]
+_matrix_verbs = [["length"], ["mult"], ["mult", "--route", "area"],
+                 ["audit", "--check", "gap-bound"], ["audit", "--check", "summand"]]
+# a flag value out of range stops the parser, so most values are in range
+_flags = st.tuples(
+    st.sampled_from(["24"] * 6 + ["2", "8", "1", "-1", "x"]),  # --trunc-cap
+    st.sampled_from(["4"] * 6 + ["2", "3", "1", "0", str(MAX_TRIALS + 1)]),  # --trials
+    st.sampled_from(["0"] * 6 + ["-3", "7", "q"]),  # --seed
+)
+_request = st.one_of(
+    st.tuples(st.sampled_from(_ideal_verbs), _ideal_json, _flags),
+    st.tuples(st.sampled_from(_matrix_verbs), _matrix_json, _flags),
+    st.tuples(st.tuples(st.just("atlas"),
+                        st.sampled_from(["--max-a", "--max-b"]),
+                        st.sampled_from(["-1", "0", "2", "x", "13"])).map(list),
+              st.just(None), _flags),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_request)
+def test_cli_exit_codes_on_small_malformed_inputs(request):
+    verb, obj, (cap, trials, seed) = request
+    argv = ["--trunc-cap", cap, "--trials", trials, "--seed", seed] + verb
+    if verb[0] == "atlas":
+        argv += ["--max-a", "3"] if verb[1] == "--max-b" else ["--max-b", "3"]
+    else:
+        argv.insert(len(argv) - len(verb) + 1, "-")
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(obj))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2, 3, 4), (argv, obj, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # a failure says why; a success is never silent
+    assert err.getvalue() if code else out.getvalue()

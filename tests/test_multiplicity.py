@@ -5,7 +5,7 @@ import pytest
 import icmod as ic
 from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix
-from icmod.multiplicity import _sampled_minors
+from icmod.multiplicity import ReductionSample, _sampled_minors
 
 from conftest import permutation_det
 
@@ -36,6 +36,13 @@ def test_reduction_examples(showcase_a):
     assert s.value == 6
     s = ic.reduction_multiplicity(showcase_a, trials=4, seed=0)
     assert s.value == ic.area_multiplicity(showcase_a)
+    # the record, coefficients included, is a fixed function of (input, seed, trials)
+    assert s == ReductionSample(
+        seed=0,
+        coefficients=((3, 4, -8, -1, 7, 6), (3, 0, 6, 2, 9, -3)),
+        value=34,
+        certified=True,
+    )
 
 
 def test_reduction_requires_primary_and_enough_trials():
@@ -64,20 +71,21 @@ def test_module_multiplicity_infinite_colength():
 def test_sampled_minors_match_permutation_expansion(showcase_a):
     mat = ic.build_module(showcase_a, 3)
     rng = random.Random(42)
-    lam = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(mat.ncols)]
-    minors = _sampled_minors(mat, lam)
+    # coeffs[k][j] weights column j of mat in combination k
+    coeffs = [[rng.randint(-5, 5) for _ in range(mat.ncols)] for _ in range(4)]
+    minors = _sampled_minors(mat, coeffs)
     # the combined 3x4 polynomial matrix, expanded independently
     w = [[BiPoly.zero() for _ in range(4)] for _ in range(3)]
-    for j, col in enumerate(mat.cols):
-        for i in range(3):
-            for jj in range(4):
-                w[i][jj] = w[i][jj] + col[i] * lam[j][jj]
+    for k in range(4):
+        for j, col in enumerate(mat.cols):
+            for i in range(3):
+                w[i][k] = w[i][k] + col[i] * coeffs[k][j]
     for drop in range(4):
-        entries = [[w[i][jj] for jj in range(4) if jj != drop] for i in range(3)]
+        entries = [[w[i][k] for k in range(4) if k != drop] for i in range(3)]
         assert minors[drop] == permutation_det(entries)
     # a combination that kills a column leaves a degenerate draw
-    lam = [row[:3] + [0] for row in lam]
-    assert _sampled_minors(mat, lam) == []
+    coeffs[3] = [0] * mat.ncols
+    assert _sampled_minors(mat, coeffs) == []
 
 
 def test_seed_determinism_and_seed_invariance(showcase_b):

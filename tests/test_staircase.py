@@ -22,6 +22,10 @@ def test_canonicalize_keeps_reference_ideal(example_reference):
 def test_canonicalize_rejects_non_primary_when_asked():
     with pytest.raises(NotPrimary):
         ic.canonicalize([(1, 0)], require_primary=True)
+    # the unit ideal touches both axes but is not proper
+    with pytest.raises(NotPrimary):
+        ic.canonicalize([(0, 0)], require_primary=True)
+    assert not ic.canonicalize([(0, 0), (3, 1)]).is_m_primary
     with pytest.raises(EmptyGenerators):
         ic.canonicalize([])
     with pytest.raises(ValueError):
