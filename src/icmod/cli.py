@@ -139,9 +139,9 @@ def _cmd_length(args) -> int:
 
 
 def _cmd_mult(args) -> int:
+    obj = _load_ideal_or_matrix(args.input)
     if args.trials > MAX_TRIALS:
         raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
-    obj = _load_ideal_or_matrix(args.input)
     out: dict = {}
     if isinstance(obj, staircase.MonomialIdeal):
         if args.route in ("area", "both"):
@@ -215,8 +215,11 @@ class AtlasRow:
 
     def csv_values(self) -> list:
         # generator lists encode as a:b;a:b, an absent gap as the empty cell
-        return [_encode_gens(v) if isinstance(v, list) else "" if v is None else v
-                for v in self.to_json().values()]
+        row = self.to_json()
+        row.update(ideal_gens=_encode_gens(self.ideal_gens),
+                   fitting_gens=_encode_gens(self.fitting_gens),
+                   prop51_diff="" if self.prop51_diff is None else self.prop51_diff)
+        return list(row.values())
 
 
 ATLAS_COLUMNS = [f.name for f in fields(AtlasRow)]

@@ -105,8 +105,7 @@ class MonomialIdeal:
 
     @property
     def is_m_primary(self) -> bool:
-        # the unit ideal (one generator x^0 y^0) touches both axes but is not proper
-        return len(self.gens) > 1 and self.gens[0].b == 0 and self.gens[-1].a == 0
+        return self.gens[0].b == 0 and self.gens[-1].a == 0
 
     @property
     def is_normalized(self) -> bool:
@@ -248,7 +247,7 @@ class MonomialIdeal:
 
 
 def from_json(obj) -> MonomialIdeal:
-    """Parse the {"gens": [[a, b], ...]} wire format."""
+    """Parse the {"gens": [[a, b], ...]} wire format; the unit ideal is refused."""
     if not isinstance(obj, dict) or "gens" not in obj:
         raise ValueError('ideal JSON must be an object with a "gens" key')
     gens = obj["gens"]
@@ -261,7 +260,11 @@ def from_json(obj) -> MonomialIdeal:
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in g):
             raise ValueError(f"generator exponents must be integers, got {g!r}")
         pairs.append(g)
-    return canonicalize(pairs)
+    ideal = canonicalize(pairs)
+    if ideal.gens == (Monomial(0, 0),):
+        # the unit ideal passes is_m_primary (it touches both axes) but is not proper
+        raise NotPrimary("the unit ideal is not a proper ideal, so it is not m-primary")
+    return ideal
 
 
 def maximal_ideal() -> MonomialIdeal:

@@ -141,6 +141,13 @@ def test_audit_summand_hypotheses_examples(showcase_a, showcase_b):
                          ic.from_ideal(ic.maximal_ideal()))
     rec = ic.audit_summand_hypotheses(pair)
     assert not rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
+    # a constant entry splits off a free summand: the 1-minors generate the unit ideal
+    x, y, one, zero = (ic.BiPoly.term(1, 0), ic.BiPoly.term(0, 1), ic.BiPoly.term(0, 0),
+                       ic.BiPoly.zero())
+    free = ic.PresMatrix(2, ((one, zero), (zero, x), (zero, y)))
+    assert ic.fitting_ideal(free, 2) == ic.maximal_ideal()
+    rec = ic.audit_summand_hypotheses(free)
+    assert not rec.ord_ge_rank_plus_1 and not rec.next_fitting_closure_is_m_power
 
 
 # ---------------------------------------------------------------------------

@@ -67,15 +67,16 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
     no_cols = tmp_path / "no_cols.json"
     no_cols.write_text(json.dumps({"rank": 2, "cols": []}))
-    for verb in (["length"], ["mult"]):
+    for verb in (["length"], ["mult"], ["mult", "--trials", str(MAX_TRIALS + 1)]):
         code, _out, err = run(capsys, verb + [str(no_cols)])
         assert code == 2 and "cols" in err, verb
 
-    # the unit ideal is not m-primary, so no verb reports a value for it
+    # the unit ideal is not proper, so no verb reports a value for it
     unit = tmp_path / "unit.json"
     unit.write_text(json.dumps({"gens": [[0, 0]]}))
     for verb in (["closure"], ["factor"], ["classify"], ["construct", "--rank", "2"],
-                 ["length"], ["mult"], ["mult", "--route", "reduction"], ["render"],
+                 ["length"], ["mult"], ["mult", "--route", "reduction"],
+                 ["mult", "--trials", str(MAX_TRIALS + 1)], ["render"],
                  ["audit", "--check", "gap-equality"], ["audit", "--check", "gap-bound"],
                  ["audit", "--check", "split", "--part1", "0"],
                  ["audit", "--check", "summand"]):
@@ -93,6 +94,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["atlas", "--max-a", "4", "--max-b", "-1"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and "at least" in err, argv
+
+
+def test_unit_fitting_ideal_is_a_result(tmp_path, capsys):
+    # a constant entry splits off a free summand; the audits report it, they do not refuse it
+    x, y, one, zero = (ic.BiPoly.term(1, 0), ic.BiPoly.term(0, 1), ic.BiPoly.term(0, 0),
+                       ic.BiPoly.zero())
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(ic.PresMatrix(2, ((one, zero), (zero, x), (zero, y))).to_json()))
+    code, out, _err = run(capsys, ["audit", "--check", "summand", str(path)])
+    assert code == 0 and json.loads(out) == {"next_fitting_closure_is_m_power": False,
+                                             "ord_ge_rank_plus_1": False}
+    code, out, _err = run(capsys, ["audit", "--check", "gap-bound", str(path)])
+    assert code == 0 and json.loads(out)["diff"] == 0
 
 
 def test_size_guardrails_exit_4(tmp_path, capsys):

@@ -22,10 +22,6 @@ def test_canonicalize_keeps_reference_ideal(example_reference):
 def test_canonicalize_rejects_non_primary_when_asked():
     with pytest.raises(NotPrimary):
         ic.canonicalize([(1, 0)], require_primary=True)
-    # the unit ideal touches both axes but is not proper
-    with pytest.raises(NotPrimary):
-        ic.canonicalize([(0, 0)], require_primary=True)
-    assert not ic.canonicalize([(0, 0), (3, 1)]).is_m_primary
     with pytest.raises(EmptyGenerators):
         ic.canonicalize([])
     with pytest.raises(ValueError):
@@ -129,6 +125,18 @@ def test_json_roundtrip(showcase_a):
         ic.from_json({"gens": [[1, "x"]]})
     with pytest.raises(ValueError):
         ic.from_json([1, 2])
+    # the wire format refuses the unit ideal, also when a generator reduces to it
+    for gens in ([[0, 0]], [[3, 1], [0, 0]]):
+        with pytest.raises(NotPrimary):
+            ic.from_json({"gens": gens})
+
+
+def test_unit_ideal_in_the_library():
+    # the unit ideal touches both axes, and a unit Fitting ideal has colength 0
+    unit = ic.canonicalize([(0, 0), (3, 1)])
+    assert unit.is_m_primary
+    assert (unit.order(), unit.colength()) == (0, 0)
+    assert unit.integral_closure() == unit
 
 
 # ---------------------------------------------------------------------------
