@@ -27,8 +27,8 @@ from .staircase import (
     MonomialIdeal,
     NotComplete,
     NotPrimary,
+    SimpleFactorization,
     maximal_ideal_power,
-    simple_closure,
 )
 
 TAG_LOW_RANK = "thm_5_2"
@@ -81,18 +81,19 @@ def top_rank_hypotheses(ideal: MonomialIdeal, r: int) -> bool:
     return ideal.contains((r, 0)) and not ideal.contains((r - 1, 1))
 
 
-def _smallest_witness(fit: MonomialIdeal) -> Monomial:
-    closure = fit.integral_closure()
-    best: Monomial | None = None
-    for b in range(fit.gens[-1].b + 1):
-        for a in range(fit.gens[0].a + 1):
-            m = Monomial(a, b)
-            if closure.contains(m) and not fit.contains(m):
-                if best is None or (m.degree, m.b) < (best.degree, best.b):
-                    best = m
-    if best is None:
-        raise RuntimeError("no witness found for an incomplete ideal")
-    return best
+def _smallest_witness(fit: MonomialIdeal, closure: MonomialIdeal) -> Monomial:
+    # In each row the least witness starts the closure's row, and closure rows
+    # change start only at closure generators; so the witness is the least
+    # (degree, b) closure generator x^a y^b with a below the ideal's row start,
+    # the x-exponent of the last ideal generator at or below b.
+    witnesses = []
+    i = 0
+    for g in closure.gens:
+        while i + 1 < len(fit.gens) and fit.gens[i + 1].b <= g.b:
+            i += 1
+        if g.a < fit.gens[i].a:
+            witnesses.append(g)
+    return min(witnesses, key=lambda m: (m.degree, m.b))
 
 
 def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
@@ -122,7 +123,8 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
     if fit != closed_form_fitting(work, rank):
         raise RuntimeError("minor ideal disagrees with its closed form")
     notes.append("closed_form_match")
-    complete = fit.is_complete()
+    closure = fit.integral_closure()
+    complete = fit == closure
     r = work.r
     verdict = UNKNOWN
     witnesses: tuple[Monomial, ...] = ()
@@ -132,7 +134,7 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
         elif top_rank_hypotheses(fit, rank):
             verdict = TAG_TOP_RANK
     else:
-        witnesses = (_smallest_witness(fit),)
+        witnesses = (_smallest_witness(fit, closure),)
     return Verdict(
         construction_ok=True,
         rank=rank,
@@ -175,14 +177,13 @@ class GapBound:
     passed: bool
 
 
-def audit_gap_bound(mat: PresMatrix, rank: int, cap: int = 64) -> GapBound:
+def audit_gap_bound(mat: PresMatrix, cap: int = 64) -> GapBound:
     """Colength gap lower bound e(e-1)/2 for an integrally closed module.
 
     The integral closedness certificate is the caller's (complete minor ideal
     or a direct sum of complete ideals); this audit just measures the gap.
     """
-    if rank != mat.rank:
-        raise ValueError("rank argument must match the matrix rank")
+    rank = mat.rank
     diff = fitting_ideal(mat, rank).colength() - colength_module(mat, cap)
     bound = rank * (rank - 1) // 2
     return GapBound(diff=diff, bound=bound, passed=diff >= bound)
@@ -220,17 +221,8 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
     chosen = set(part1)
     if not chosen or not chosen < set(range(len(factors))):
         raise ValueError("part1 must be a proper nonempty subset of factor indices")
-
-    def block(indices) -> MonomialIdeal:
-        acc = None
-        for i in sorted(indices):
-            p, q = factors[i]
-            piece = simple_closure(p, q)
-            acc = piece if acc is None else acc * piece
-        return acc
-
-    b1 = block(chosen)
-    b2 = block(set(range(len(factors))) - chosen)
+    b1, b2 = (SimpleFactorization(tuple(factors[i] + (1,) for i in sorted(part))).rebuild()
+              for part in (chosen, set(range(len(factors))) - chosen))
     lhs = ideal.colength() - b1.colength() - b2.colength()
     rhs = b1.order() * b2.order()
     return SplitInequality(

@@ -24,7 +24,8 @@ from .classify import (
 )
 
 ATLAS_MAX_BOUND = 12
-RENDER_MAX_EXPONENT = 1000
+MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per staircase row
+MAX_RANK = 6  # classify and audit enumerate minors, about 2.5 times as many per rank
 MAX_TRIALS = 100
 
 
@@ -68,6 +69,18 @@ def _load_ideal_or_matrix(path: str):
     return staircase.from_json(obj)
 
 
+def _check_size(obj, rank: int | None = None) -> None:
+    """Refuse an ideal or matrix with an exponent, or a rank, above its guardrail."""
+    if isinstance(obj, staircase.MonomialIdeal):
+        top = max(obj.gens[0].a, obj.gens[-1].b)
+    else:
+        top = max(v for col in obj.cols for entry in col for mon, _c in entry.items() for v in mon)
+    if top > MAX_EXPONENT:
+        raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
+    if rank is not None and rank > MAX_RANK:
+        raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
+
+
 def _emit(obj, compact: bool) -> None:
     if compact:
         print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
@@ -77,6 +90,7 @@ def _emit(obj, compact: bool) -> None:
 
 def _cmd_closure(args) -> int:
     ideal = _load_ideal(args.input)
+    _check_size(ideal)
     if not ideal.is_m_primary:
         raise ValueError("closure needs an m-primary staircase")
     closed = ideal.integral_closure()
@@ -94,6 +108,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_factor(args) -> int:
     ideal = _load_ideal(args.input)
+    _check_size(ideal)
     fact = ideal.zariski_factor()
     _emit(
         {"factors": [{"p": p, "q": q, "mult": m} for p, q, m in fact.factors]},
@@ -115,6 +130,7 @@ def _cmd_classify(args) -> int:
             ranks = [int(args.rank)]
         except ValueError as exc:
             raise ValueError(f"--rank must be an integer or 'all', got {args.rank!r}") from exc
+    _check_size(ideal, max(ranks))
     for e in ranks:
         verdict = classify(ideal, e)
         _emit(verdict.to_json(), compact=args.json or args.rank == "all")
@@ -164,27 +180,27 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.check in ("gap-equality", "split"):
+        obj = _load_ideal(args.input)
+    else:
+        obj = _load_ideal_or_matrix(args.input)
+    rank = obj.rank if isinstance(obj, modmat.PresMatrix) else args.rank
+    _check_size(obj, None if args.check == "split" else rank)
+    if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
+        obj = modmat.build_module(obj.normalized(), rank)
     if args.check == "gap-equality":
-        ideal = _load_ideal(args.input)
-        rec = audit_gap_equality(ideal, args.rank, cap=args.trunc_cap)
+        rec = audit_gap_equality(obj, args.rank, cap=args.trunc_cap)
         _emit({"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}, args.json)
     elif args.check == "gap-bound":
-        obj = _load_ideal_or_matrix(args.input)
-        if isinstance(obj, staircase.MonomialIdeal):
-            obj = modmat.build_module(obj.normalized(), args.rank)
-        rec = audit_gap_bound(obj, obj.rank, cap=args.trunc_cap)
+        rec = audit_gap_bound(obj, cap=args.trunc_cap)
         _emit({"diff": rec.diff, "bound": rec.bound, "pass": rec.passed}, args.json)
     elif args.check == "split":
-        ideal = _load_ideal(args.input)
         if not args.part1:
             raise ValueError("--part1 is required for the split audit")
         part1 = {int(tok) for tok in args.part1.split(",")}
-        rec = audit_split_inequality(ideal, part1)
+        rec = audit_split_inequality(obj, part1)
         _emit({"lhs": rec.lhs, "rhs": rec.rhs, "strict": rec.strict}, args.json)
     elif args.check == "summand":
-        obj = _load_ideal_or_matrix(args.input)
-        if isinstance(obj, staircase.MonomialIdeal):
-            obj = modmat.build_module(obj.normalized(), args.rank)
         rec = audit_summand_hypotheses(obj)
         _emit(
             {
@@ -291,8 +307,6 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
     hullset = set(hull)
     max_a = ideal.gens[0].a
     max_b = ideal.gens[-1].b
-    if max(max_a, max_b) > RENDER_MAX_EXPONENT:
-        raise BoundsTooLarge(f"rendering is capped at pure powers up to {RENDER_MAX_EXPONENT}")
     scale = 24
     pad = 20
     width = max_a * scale + 2 * pad
@@ -336,6 +350,7 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
 
 def _cmd_render(args) -> int:
     ideal = _load_ideal(args.input)
+    _check_size(ideal)
     if not ideal.is_m_primary:
         raise ValueError("rendering needs an m-primary staircase")
     text = render_svg(ideal)
@@ -361,7 +376,7 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="trials for randomized reductions (default 4)",
                         **({"default": 4} if top else d))
     parser.add_argument("--trunc-cap", type=_int_at_least(2), dest="trunc_cap",
-                        help="truncation level cap for colength certificates",
+                        help="largest truncation degree the certificates try (default 64)",
                         **({"default": 64} if top else d))
 
 

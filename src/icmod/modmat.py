@@ -2,9 +2,10 @@
 
 Builds the rank-e module attached to a normalized staircase, computes Fitting
 ideals from exact minors, and certifies minimal generator counts and
-colengths by truncated linear algebra with a Nakayama stopping certificate.
-Pure computation throughout; the minor sweep and the truncated spans are
-deterministic regardless of evaluation order.
+colengths by truncated linear algebra with a Nakayama stopping certificate;
+both run one truncation builder over one degree sequence that ends at the
+cap.  Pure computation throughout; the minor sweep and the truncated spans
+are deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -271,70 +272,69 @@ def _graph_mode(cols) -> bool:
     return True
 
 
-def _start_level(cols) -> int:
-    return max(a + b for terms, _o in cols for _k, a, b, _c in terms) + 2
+def _truncation(cols, e: int, graph: bool, deg: int) -> tuple[GraphSpan | PivotSpan, int]:
+    """Span of every monomial multiple of the columns of degree <= deg.
+
+    The positive-degree multiples go in first, then the columns themselves;
+    the second value counts the columns that still raised the rank.
+    """
+    block = tri(deg + 1)
+    span = GraphSpan(e * block) if graph else PivotSpan()
+    gained = 0
+    for shifted in (True, False):
+        for terms, ordj in cols:
+            for d in range(1, deg + 1 - ordj) if shifted else (0,):
+                for alpha in range(d + 1):
+                    row = [(k * block + tri(a + b + d) + b + d - alpha, c)
+                           for k, a, b, c in terms if a + b + d <= deg]
+                    if row and span.add(row) and not shifted:
+                        gained += 1
+    return span, gained
 
 
-def _fill_span(span, cols, level: int, min_deg: int) -> None:
-    block = tri(level)
-    for terms, ordj in cols:
-        for d in range(min_deg, level - ordj):
-            for alpha in range(d + 1):
-                beta = d - alpha
-                row = []
-                for k, a, b, c in terms:
-                    xa = a + alpha
-                    yb = b + beta
-                    dd = xa + yb
-                    if dd < level:
-                        row.append((k * block + tri(dd) + yb, c))
-                if row:
-                    span.add(row)
-
-
-def _tail_certified(span, e: int, level: int, deg: int) -> bool:
-    # every basis vector of total degree `deg` must lie in the span at `level`
-    block = tri(level)
+def _tail_certified(span, e: int, deg: int) -> bool:
+    # Nakayama: every basis vector of degree deg lies in the span truncated at deg
+    block = tri(deg + 1)
     base = tri(deg)
-    for k in range(e):
-        off = k * block + base
-        for y in range(deg + 1):
-            if not span.contains_single(off + y):
-                return False
-    return True
+    return all(span.contains_single(k * block + base + y)
+               for k in range(e) for y in range(deg + 1))
+
+
+def _degrees(cols, cap: int, start: int | None):
+    # the certificate is monotone in the degree, so any sequence ending at the cap is sound
+    if start is None:
+        start = max(a + b for terms, _o in cols for _k, a, b, _c in terms) + 1
+    yield from range(min(start, cap), cap, 2)
+    yield cap
 
 
 def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None,
-                     start: int | None = None) -> tuple[int, int]:
-    """Certified colength and the truncation level that certified it.
+                       start: int | None = None) -> tuple[int, int]:
+    """Certified colength and the truncation degree that certified it.
 
-    The certificate is sound at any level, so callers may pass a start level
-    below the default (largest entry degree plus two); failed levels are
-    cheap because the spans are small.
+    Tries the degrees start, start + 2, ... below the cap, and last the cap
+    itself; start defaults to one past the largest entry degree.  Every degree
+    that certifies gives the exact colength, so any nonnegative start is sound.
     """
     cols = _column_terms(mat)
     graph = _graph_mode(cols)
     e = mat.rank
-    level = _start_level(cols) if start is None else max(2, start)
-    while level <= cap:
-        span = GraphSpan(e * tri(level + 1)) if graph else PivotSpan()
-        _fill_span(span, cols, level + 1, 0)
-        deficiency = e * tri(level + 1) - span.rank
+    for deg in _degrees(cols, cap, start):
+        span, _gained = _truncation(cols, e, graph, deg)
+        deficiency = e * tri(deg + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
             raise AbortColength(deficiency)
-        if _tail_certified(span, e, level + 1, level):
-            return deficiency, level
-        level += 2
-    raise NotFiniteColength(f"certificate failed at all truncation levels up to {cap}")
+        if _tail_certified(span, e, deg):
+            return deficiency, deg
+    raise NotFiniteColength(f"certificate failed at all truncation degrees up to the cap {cap}")
 
 
 def colength_module(mat: PresMatrix, cap: int = 64) -> int:
     """Length of the free quotient, certified by the Nakayama stopping rule.
 
-    Works at truncation level N: the deficiency of the span of all monomial
-    multiples of the columns equals the colength once every degree-N basis
-    vector lies in the span computed at level N+1.  N starts two past the
-    largest entry degree and steps by two until the certificate passes.
+    At truncation degree D the deficiency of the span of all monomial
+    multiples of degree <= D equals the colength once every degree-D basis
+    vector lies in that span; the degrees tried are those of certified_colength.
     """
     return certified_colength(mat, cap)[0]
 
@@ -342,33 +342,16 @@ def colength_module(mat: PresMatrix, cap: int = 64) -> int:
 def mu_module(mat: PresMatrix, cap: int = 64) -> int:
     """Minimal number of generators, as a certified truncated rank difference.
 
-    The difference between the span of all column multiples and the span of
-    the positive-degree multiples is a lower bound at every truncation level;
-    it is exact as soon as it reaches the column count, and otherwise once the
-    Nakayama certificate covers the previous degree.
+    The rank the columns add to their positive-degree multiples is a lower
+    bound at every truncation degree; it is exact as soon as it reaches the
+    column count, and otherwise once the Nakayama certificate holds.
     """
     cols = _column_terms(mat)
     graph = _graph_mode(cols)
-    e = mat.rank
-    level = _start_level(cols)
-    while level <= cap:
-        block = tri(level)
-        span = GraphSpan(e * block) if graph else PivotSpan()
-        _fill_span(span, cols, level, 1)
-        gained = 0
-        for terms, _o in cols:
-            row = []
-            for k, a, b, c in terms:
-                if a + b < level:
-                    row.append((k * block + tri(a + b) + b, c))
-            if row and span.add(row):
-                gained += 1
-        if gained == mat.ncols:
+    for deg in _degrees(cols, cap, None):
+        span, gained = _truncation(cols, mat.rank, graph, deg)
+        if gained == mat.ncols or _tail_certified(span, mat.rank, deg):
             return gained
-        # span now holds all multiples of degree >= 0 at this level
-        if _tail_certified(span, e, level, level - 1):
-            return gained
-        level += 2
     raise NotFiniteColength(
-        f"generator count did not stabilize at truncation levels up to {cap}"
+        f"generator count did not stabilize at truncation degrees up to the cap {cap}"
     )

@@ -29,6 +29,8 @@ from .modmat import (
 )
 from .staircase import MonomialIdeal
 
+COEFF_BOUND = 9  # sampled combination weights lie in [-COEFF_BOUND, COEFF_BOUND]
+
 
 class Uncertified(RuntimeError):
     """Trials exhausted without the minimum being attained twice."""
@@ -88,7 +90,7 @@ def _sampled_minors(mat: PresMatrix, coeffs) -> list[BiPoly]:
 
 
 def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
-                        cap: int = 64, coeff_bound: int = 9) -> ReductionSample:
+                        cap: int = 64) -> ReductionSample:
     """Buchsbaum-Rim multiplicity from sampled rank-plus-one reductions.
 
     Each trial draws e+1 random integer combinations of the columns
@@ -98,57 +100,61 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     generic samples are exact, and agreement of two distinct-seed samples
     certifies the minimum.
 
-    Degenerate samples (fewer than two nonzero minors, or no finite colength
-    up to the cap) still consume a trial.  Samples provably above the current
-    best abort early; they can never improve the minimum.  The truncation
-    level that certified one trial seeds the next, since generic samples
-    certify at the same level.
+    Degenerate samples (fewer than two nonzero minors) and samples whose
+    colength no truncation degree up to the cap certifies still consume a
+    trial; the two are counted apart, so a failure can name the cap.  Samples
+    provably above the current best abort early; they can never improve the
+    minimum.  The truncation degree that certified one trial seeds the next,
+    since generic samples certify at the same degree.
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")
     best: int | None = None
     hits = 0
     best_coeffs: tuple[tuple[int, ...], ...] = ()
-    degenerate = 0
-    level_hint: int | None = None
+    degenerate = capped = 0
+    degree_hint: int | None = None
     for t in range(trials):
         rng = random.Random(_derived_seed(seed, t))
         coeffs = tuple(
-            tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(mat.ncols))
+            tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(mat.ncols))
             for _ in range(mat.rank + 1)
         )
         gens = [g for g in _sampled_minors(mat, coeffs) if g]
         if len(gens) < 2:
             degenerate += 1
             continue
-        start = level_hint
+        start = degree_hint
         if start is None:
             orders = sorted(g.order for g in gens)
             start = max(3, orders[0] + orders[1] + 1)
         try:
-            value, level = certified_colength(PresMatrix(1, tuple((g,) for g in gens)), cap,
+            value, degree = certified_colength(PresMatrix(1, tuple((g,) for g in gens)), cap,
                                               abort_above=best, start=start)
         except AbortColength:
             continue  # completed trial, provably not the minimum
         except NotFiniteColength:
-            degenerate += 1
+            capped += 1
             continue
-        level_hint = level
+        degree_hint = degree
         if best is None or value < best:
             best, hits, best_coeffs = value, 1, coeffs
         elif value == best:
             hits += 1
-    if best is None:
+    if best is None and not capped:
         raise NotFiniteColength(f"all {trials} samples were degenerate")
+    if best is None:
+        raise NotFiniteColength(f"no sample certified a colength up to the truncation cap "
+                                f"{cap} ({capped} of {trials} trials reached it, "
+                                f"{degenerate} degenerate)")
     if hits < 2:
-        raise Uncertified(
-            f"minimum {best} attained once in {trials} trials ({degenerate} degenerate)"
-        )
+        raise Uncertified(f"minimum {best} attained once in {trials} trials ({degenerate} "
+                          f"degenerate, {capped} uncertified up to the truncation cap {cap})")
     return ReductionSample(seed=seed, coefficients=best_coeffs, value=best, certified=True)
 
 
 def reduction_multiplicity(ideal: MonomialIdeal, trials: int = 4, seed: int = 0,
-                           cap: int = 64, coeff_bound: int = 9) -> ReductionSample:
+                           cap: int = 64) -> ReductionSample:
     """Multiplicity of an m-primary ideal: the rank-one case of module_multiplicity.
 
     Each trial draws two integer combinations of the staircase generators and
@@ -156,7 +162,7 @@ def reduction_multiplicity(ideal: MonomialIdeal, trials: int = 4, seed: int = 0,
     """
     if not ideal.is_m_primary:
         raise ValueError("reduction sampling needs an m-primary ideal")
-    return module_multiplicity(from_ideal(ideal), trials, seed, cap, coeff_bound)
+    return module_multiplicity(from_ideal(ideal), trials, seed, cap)
 
 
 @dataclass(frozen=True)

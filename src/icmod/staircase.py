@@ -39,7 +39,7 @@ def _minimalize(points: list[Monomial]) -> list[Monomial]:
     return keep[::-1]
 
 
-def canonicalize(points: Iterable, require_primary: bool = False) -> "MonomialIdeal":
+def canonicalize(points: Iterable) -> "MonomialIdeal":
     """Minimal sorted generating set from an arbitrary list of exponent pairs."""
     pts = []
     for p in points:
@@ -49,10 +49,7 @@ def canonicalize(points: Iterable, require_primary: bool = False) -> "MonomialId
         pts.append(Monomial(a, b))
     if not pts:
         raise EmptyGenerators("a monomial ideal needs at least one generator")
-    ideal = MonomialIdeal(tuple(_minimalize(pts)))
-    if require_primary and not ideal.is_m_primary:
-        raise NotPrimary("staircase must touch both axes (pure x and pure y generators)")
-    return ideal
+    return MonomialIdeal(tuple(_minimalize(pts)))
 
 
 @dataclass(frozen=True)

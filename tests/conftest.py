@@ -74,6 +74,17 @@ def brute_closure(ideal: ic.MonomialIdeal) -> ic.MonomialIdeal:
     return ic.canonicalize(members)
 
 
+def rectangle_witness(ideal: ic.MonomialIdeal, closure: ic.MonomialIdeal):
+    """Least (degree, b) point of the closure outside the ideal, by a full box scan."""
+    best = None
+    for b in range(ideal.gens[-1].b + 1):
+        for a in range(ideal.gens[0].a + 1):
+            if closure.contains((a, b)) and not ideal.contains((a, b)):
+                if best is None or (a + b, b) < (sum(best), best[1]):
+                    best = (a, b)
+    return best
+
+
 def permutation_det(entries) -> ic.BiPoly:
     """Determinant of a small square matrix of polynomials, by full expansion."""
     n = len(entries)

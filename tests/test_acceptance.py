@@ -126,7 +126,7 @@ def test_acceptance_05_colength_gap_bound(sweep9, complete8):
         mat = ic.from_ideal(parts[0])
         for p in parts[1:]:
             mat = ic.direct_sum(mat, ic.from_ideal(p))
-        rec = ic.audit_gap_bound(mat, mat.rank)
+        rec = ic.audit_gap_bound(mat)
         if not rec.passed:
             violations.append([p.to_pairs() for p in parts])
     ok = not sweep9["bound_failures"] and not violations

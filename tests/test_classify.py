@@ -7,9 +7,10 @@ from icmod.classify import (
     UNKNOWN,
     HypothesisViolated,
     PreconditionNotMet,
+    _smallest_witness,
 )
 
-from conftest import lattice_colength
+from conftest import lattice_colength, rectangle_witness
 
 
 def test_showcase_b_all_ranks_proven(showcase_b):
@@ -95,17 +96,14 @@ def test_audit_gap_equality_precondition(remark_counterexample):
 def test_audit_gap_bound_examples(example_reference, showcase_b):
     mat = ic.direct_sum(ic.from_ideal(example_reference),
                         ic.from_ideal(ic.maximal_ideal()))
-    rec = ic.audit_gap_bound(mat, 2)
-    assert rec.passed and rec.diff >= 1
+    rec = ic.audit_gap_bound(mat)
+    assert rec.passed and rec.diff >= 1 and rec.bound == 1
 
-    rec = ic.audit_gap_bound(ic.build_module(showcase_b, 5), 5)
+    rec = ic.audit_gap_bound(ic.build_module(showcase_b, 5))
     assert rec.passed and rec.diff == rec.bound == 10
 
-    rec = ic.audit_gap_bound(ic.from_ideal(example_reference), 1)
+    rec = ic.audit_gap_bound(ic.from_ideal(example_reference))
     assert rec.passed and rec.diff == 0 and rec.bound == 0
-
-    with pytest.raises(ValueError):
-        ic.audit_gap_bound(ic.from_ideal(example_reference), 2)
 
 
 def test_audit_split_inequality_examples(showcase_b, chain_ideal):
@@ -169,6 +167,16 @@ def test_verdict_sweep_small_box():
                 w = v.witnesses[0]
                 closure = v.fitting.integral_closure()
                 assert closure.contains(w) and not v.fitting.contains(w)
+
+
+def test_smallest_witness_matches_rectangle_scan():
+    incomplete = 0
+    for ideal in ic.enumerate_staircases(8, 8, min_r=1):
+        closure = ideal.integral_closure()
+        if closure != ideal:
+            incomplete += 1
+            assert tuple(_smallest_witness(ideal, closure)) == rectangle_witness(ideal, closure)
+    assert incomplete > 5000
 
 
 def test_tight_corner_sweep_proves_indecomposable():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import MAX_TRIALS, RENDER_MAX_EXPONENT, atlas_rows, main, render_svg
+from icmod.cli import MAX_EXPONENT, MAX_RANK, MAX_TRIALS, atlas_rows, main, render_svg
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -110,13 +110,38 @@ def test_unit_fitting_ideal_is_a_result(tmp_path, capsys):
 
 
 def test_size_guardrails_exit_4(tmp_path, capsys):
-    big = RENDER_MAX_EXPONENT + 1
-    path = write_ideal(tmp_path, ic.canonicalize([(big, 0), (0, big)]))
-    code, out, err = run(capsys, ["render", path])
-    assert code == 4 and not out and err
-    edge = write_ideal(tmp_path, ic.canonicalize([(RENDER_MAX_EXPONENT, 0), (0, 1)]), "e.json")
+    big = MAX_EXPONENT + 1
+    path = write_ideal(tmp_path, ic.canonicalize([(big, 0), (1, 1), (0, big)]))
+    entry = tmp_path / "entry.json"
+    entry.write_text(json.dumps(ic.from_ideal(ic.canonicalize([(big, 0), (0, 1)])).to_json()))
+    for argv in (["render", path], ["closure", path], ["factor", path], ["classify", path],
+                 ["audit", path, "--check", "gap-equality"],
+                 ["audit", path, "--check", "split", "--part1", "0"],
+                 ["audit", str(entry), "--check", "summand"]):
+        code, out, err = run(capsys, argv)
+        assert code == 4 and not out and "capped" in err, argv
+    edge = write_ideal(tmp_path, ic.canonicalize([(MAX_EXPONENT, 0), (0, 1)]), "e.json")
     code, out, _err = run(capsys, ["render", edge])
     assert code == 0 and out.startswith("<svg")
+    # the witness is read off the staircase rows, so a wide ideal classifies at once
+    edge = write_ideal(tmp_path, ic.canonicalize(
+        [(MAX_EXPONENT, 0), (MAX_EXPONENT - 1, 1), (0, MAX_EXPONENT)]), "w.json")
+    code, out, _err = run(capsys, ["classify", edge, "--json"])
+    assert code == 0 and json.loads(out)["integrally_closed"] is False
+
+    m_top = write_ideal(tmp_path, ic.maximal_ideal_power(MAX_RANK + 1), "top.json")
+    rank = tmp_path / "rank.json"
+    rank.write_text(json.dumps(ic.build_module(ic.maximal_ideal_power(MAX_RANK + 1),
+                                               MAX_RANK + 1).to_json()))
+    too_high = str(MAX_RANK + 1)
+    for argv in (["classify", m_top], ["classify", m_top, "--rank", too_high],
+                 ["audit", m_top, "--check", "gap-equality", "--rank", too_high],
+                 ["audit", m_top, "--check", "gap-bound", "--rank", too_high],
+                 ["audit", str(rank), "--check", "summand"]):
+        code, out, err = run(capsys, argv)
+        assert code == 4 and not out and "capped" in err, argv
+    code, out, _err = run(capsys, ["classify", m_top, "--rank", str(MAX_RANK)])
+    assert code == 0 and json.loads(out)["indecomposable"] == "thm_5_2"
 
     path = write_ideal(tmp_path, ic.maximal_ideal(), "m.json")
     code, out, err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS + 1)])
@@ -258,6 +283,17 @@ def test_certificate_failure_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(mat.to_json()))
     code, _out, err = run(capsys, ["--trunc-cap", "12", "length", str(path)])
     assert code == 3 and "NotFiniteColength" in err
+
+    # the cap itself is a truncation degree: (x^8, y^8) certifies at degree 15
+    pure = ic.canonicalize([(8, 0), (0, 8)])
+    path.write_text(json.dumps(ic.from_ideal(pure).to_json()))
+    code, out, _err = run(capsys, ["--trunc-cap", "15", "length", str(path)])
+    assert code == 0 and json.loads(out)["colength"] == 64
+    code, out, _err = run(capsys, ["mult", write_ideal(tmp_path, pure), "--trunc-cap", "16"])
+    assert code == 0 and json.loads(out)["reduction"]["value"] == 64
+    # on m^40 every sample needs degree 79; the failure names the cap, not the samples
+    code, out, err = run(capsys, ["mult", write_ideal(tmp_path, ic.maximal_ideal_power(40))])
+    assert code == 3 and not out and "truncation cap 64" in err
 
 
 def test_roundtrip_of_emitted_ideals(tmp_path, capsys, showcase_b):

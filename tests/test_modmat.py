@@ -12,6 +12,7 @@ from icmod.modmat import (
     NotNormalized,
     PresMatrix,
     RankOutOfRange,
+    certified_colength,
 )
 
 from conftest import lattice_colength, permutation_det
@@ -144,6 +145,23 @@ def test_colength_module_examples(showcase_a):
     assert ic.colength_module(ic.build_module(showcase_a, 4)) == 17
     with pytest.raises(NotFiniteColength):
         ic.colength_module(PresMatrix(1, ((X,),)), cap=20)
+
+
+def test_truncation_cap_is_itself_tried():
+    # (x^8, y^8) first certifies at degree 15: from the start degree 9 the
+    # sequence 9, 11, 13 reaches it at the cap, whether the cap is 15 or 16
+    pure = ic.from_ideal(ic.canonicalize([(8, 0), (0, 8)]))
+    for cap in (15, 16):
+        assert ic.colength_module(pure, cap=cap) == 64
+        assert certified_colength(pure, cap) == (64, 15)
+    assert certified_colength(pure, 15, start=40) == (64, 15)  # a start above the cap
+    with pytest.raises(NotFiniteColength):
+        ic.colength_module(pure, cap=14)
+    # a repeated column keeps mu below the column count, so mu needs the certificate too
+    dup = PresMatrix(1, pure.cols + pure.cols[:1])
+    assert ic.mu_module(dup, cap=15) == 2
+    with pytest.raises(NotFiniteColength):
+        ic.mu_module(dup, cap=14)
 
 
 def test_direct_sum(showcase_a):

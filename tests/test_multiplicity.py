@@ -64,8 +64,22 @@ def test_module_multiplicity_examples(showcase_a):
 
 def test_module_multiplicity_infinite_colength():
     single = PresMatrix(1, ((BiPoly.term(1, 0),),))
-    with pytest.raises(NotFiniteColength):
+    with pytest.raises(NotFiniteColength, match="truncation cap 16"):
         ic.module_multiplicity(single, trials=2, seed=0, cap=16)
+    # every 2 x 2 minor of a combination of one column (x, 0) vanishes
+    flat = PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),))
+    with pytest.raises(NotFiniteColength, match="all 4 samples were degenerate"):
+        ic.module_multiplicity(flat, trials=4, seed=0)
+
+
+def test_reduction_at_the_truncation_cap():
+    # two generic combinations of x^8, y^8 certify at degree 15, below their start 17
+    pure = ic.canonicalize([(8, 0), (0, 8)])
+    for cap in (15, 16):
+        assert ic.reduction_multiplicity(pure, cap=cap).value == 64
+    # on m^40 they need degree 79, so every trial reaches the default cap
+    with pytest.raises(NotFiniteColength, match="truncation cap 64"):
+        ic.reduction_multiplicity(ic.maximal_ideal_power(40))
 
 
 def test_sampled_minors_match_permutation_expansion(showcase_a):
@@ -130,6 +144,5 @@ def test_gap_bound_on_direct_sums():
         mat = ic.from_ideal(parts[0])
         for p in parts[1:]:
             mat = ic.direct_sum(mat, ic.from_ideal(p))
-        e = mat.rank
-        rec = ic.audit_gap_bound(mat, e)
+        rec = ic.audit_gap_bound(mat)
         assert rec.passed, [p.to_pairs() for p in parts]

@@ -19,9 +19,12 @@ def test_canonicalize_keeps_reference_ideal(example_reference):
     assert example_reference.to_pairs() == [[8, 0], [6, 1], [3, 2], [2, 3], [1, 4], [0, 8]]
 
 
-def test_canonicalize_rejects_non_primary_when_asked():
+def test_canonicalize_rejects_bad_input_and_keeps_non_primary():
+    # a staircase that misses an axis is a valid value; its invariants refuse it
+    half = ic.canonicalize([(1, 0)])
+    assert not half.is_m_primary
     with pytest.raises(NotPrimary):
-        ic.canonicalize([(1, 0)], require_primary=True)
+        half.order()
     with pytest.raises(EmptyGenerators):
         ic.canonicalize([])
     with pytest.raises(ValueError):
