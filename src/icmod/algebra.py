@@ -32,9 +32,6 @@ class Monomial(NamedTuple):
     def degree(self) -> int:
         return self.a + self.b
 
-    def divides(self, other: "Monomial") -> bool:
-        return self.a <= other.a and self.b <= other.b
-
     def times(self, other: "Monomial") -> "Monomial":
         return Monomial(self.a + other.a, self.b + other.b)
 
@@ -292,18 +289,26 @@ class GraphSpan:
 
 
 class PivotSpan:
-    """Incremental exact rank for general sparse integer rows.
+    """Incremental exact rank for general sparse integer rows on n coordinates.
 
-    Rows are dicts coordinate -> coefficient.  Reduction keeps integer
-    entries, clearing content as it goes; pivots are chosen on the smallest
-    coordinate index, which in the engines below means lowest degree first.
+    Rows are sequences of (coordinate, coefficient) pairs with distinct
+    coordinates.  Reduction keeps integer entries, clearing content as it goes;
+    pivots are chosen on the smallest coordinate index, which in the engines
+    below means lowest degree first.
+
+    ``top`` is the smallest index such that every coordinate in [top, n) is a
+    pivot lead.  A pivot's support starts at its lead, so the pivots leading
+    there span that whole coordinate suffix, and a row lies in the span if and
+    only if its part below ``top`` does.  Rows and pivots are therefore only
+    worked on below ``top``, and the pivots leading at or above it are dropped.
     """
 
-    __slots__ = ("pivots", "rank")
+    __slots__ = ("pivots", "rank", "top")
 
-    def __init__(self):
+    def __init__(self, n: int):
         self.pivots: dict[int, dict[int, int]] = {}
         self.rank = 0
+        self.top = n
 
     @staticmethod
     def _normalize(row: dict[int, int], lead: int) -> None:
@@ -321,8 +326,10 @@ class PivotSpan:
     def _reduce(self, row: dict[int, int]) -> tuple[dict[int, int], int | None]:
         # Registered pivot rows have their lead at their minimal coordinate, so
         # reduction only ever adds coordinates above the current one and the
-        # lead cursor moves strictly upward.
+        # lead cursor moves strictly upward.  Entries at or above top are
+        # dropped: the span holds that suffix whole.
         pivots = self.pivots
+        top = self.top
         if not row:
             return row, None
         cursor = min(row)
@@ -346,7 +353,7 @@ class PivotSpan:
                 for c in row:
                     row[c] *= scale
             for c, v in piv.items():
-                if c == cursor:
+                if c == cursor or c >= top:
                     continue
                 w = get(c, 0) - mul * v
                 if w:
@@ -357,15 +364,24 @@ class PivotSpan:
         return row, None
 
     def add(self, row) -> bool:
-        work = {c: v for c, v in dict(row).items() if v}
-        work, lead = self._reduce(work)
+        """Insert a row of (coordinate, coefficient) pairs; True when it raised the rank."""
+        top = self.top
+        work, lead = self._reduce({c: v for c, v in row if v and c < top})
         if lead is None:
             return False
         self._normalize(work, lead)
-        self.pivots[lead] = work
+        pivots = self.pivots
+        pivots[lead] = work
         self.rank += 1
+        # the suffix grows down through consecutive leads; its pivots are no longer read
+        while top - 1 in pivots:
+            top -= 1
+            del pivots[top]
+        self.top = top
         return True
 
     def contains_single(self, u: int) -> bool:
+        if u >= self.top:
+            return True
         work, lead = self._reduce({u: 1})
         return lead is None

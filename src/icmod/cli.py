@@ -27,6 +27,8 @@ ATLAS_MAX_BOUND = 12
 MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per staircase row
 MAX_RANK = 6  # classify and audit enumerate minors, about 2.5 times as many per rank
 MAX_TRIALS = 100
+MAX_TRUNC_CAP = 80  # a truncation at degree D has about D^2 / 2 coordinates per matrix row
+MAX_COLUMNS = 12  # the matrix audits keep a partial minor per set of used columns
 
 
 class BoundsTooLarge(ValueError):
@@ -79,6 +81,11 @@ def _check_size(obj, rank: int | None = None) -> None:
         raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
     if rank is not None and rank > MAX_RANK:
         raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
+
+
+def _check_trunc_cap(args) -> None:
+    if args.trunc_cap > MAX_TRUNC_CAP:
+        raise BoundsTooLarge(f"--trunc-cap is capped at {MAX_TRUNC_CAP}")
 
 
 def _emit(obj, compact: bool) -> None:
@@ -146,6 +153,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_length(args) -> int:
     obj = _load_ideal_or_matrix(args.input)
+    _check_trunc_cap(args)
     if isinstance(obj, staircase.MonomialIdeal):
         _emit({"kind": "ideal", "colength": obj.colength()}, args.json)
     else:
@@ -158,6 +166,7 @@ def _cmd_mult(args) -> int:
     obj = _load_ideal_or_matrix(args.input)
     if args.trials > MAX_TRIALS:
         raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
+    _check_trunc_cap(args)
     out: dict = {}
     if isinstance(obj, staircase.MonomialIdeal):
         if args.route in ("area", "both"):
@@ -166,6 +175,7 @@ def _cmd_mult(args) -> int:
     elif args.route == "area":
         raise ValueError("the area route applies to ideals, not matrices")
     else:
+        _check_size(obj, obj.rank)
         sampler = multiplicity.module_multiplicity
     if args.route in ("reduction", "both"):
         sample = sampler(obj, trials=args.trials, seed=args.seed, cap=args.trunc_cap)
@@ -186,6 +196,9 @@ def _cmd_audit(args) -> int:
         obj = _load_ideal_or_matrix(args.input)
     rank = obj.rank if isinstance(obj, modmat.PresMatrix) else args.rank
     _check_size(obj, None if args.check == "split" else rank)
+    if isinstance(obj, modmat.PresMatrix) and obj.ncols > MAX_COLUMNS:
+        raise BoundsTooLarge(f"matrix audits are capped at {MAX_COLUMNS} columns")
+    _check_trunc_cap(args)
     if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
         obj = modmat.build_module(obj.normalized(), rank)
     if args.check == "gap-equality":
@@ -280,6 +293,7 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all",
 
 
 def _cmd_atlas(args) -> int:
+    _check_trunc_cap(args)
     rows = atlas_rows(args.max_a, args.max_b, which=args.filter, cap=args.trunc_cap)
     if args.format == "csv":
         buf = io.StringIO()

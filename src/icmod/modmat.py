@@ -279,7 +279,7 @@ def _truncation(cols, e: int, graph: bool, deg: int) -> tuple[GraphSpan | PivotS
     the second value counts the columns that still raised the rank.
     """
     block = tri(deg + 1)
-    span = GraphSpan(e * block) if graph else PivotSpan()
+    span = (GraphSpan if graph else PivotSpan)(e * block)
     gained = 0
     for shifted in (True, False):
         for terms, ordj in cols:

@@ -9,9 +9,11 @@ coefficient field.  All values are immutable; functions are pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .algebra import Monomial
@@ -114,9 +116,15 @@ class MonomialIdeal:
             raise NotPrimary(f"ideal {self.to_pairs()} is not m-primary")
 
     def contains(self, mon) -> bool:
-        """Monomial membership: some generator divides the given exponent pair."""
-        m = Monomial(int(mon[0]), int(mon[1]))
-        return any(g.divides(m) for g in self.gens)
+        """Monomial membership: some generator divides the given exponent pair.
+
+        The y-exponents increase along the generators, so the last generator
+        with y-exponent at most the monomial's has the least x-exponent of
+        those that could divide it; a bisection finds it.
+        """
+        a, b = int(mon[0]), int(mon[1])
+        i = bisect_right(self.gens, b, key=itemgetter(1)) - 1
+        return i >= 0 and self.gens[i].a <= a
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)

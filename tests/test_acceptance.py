@@ -94,6 +94,7 @@ def test_acceptance_01_reference_hull_and_factorization(reference_ideal):
            f"vertices={hull} factors={fact}")
 
 
+@pytest.mark.slow
 def test_acceptance_02_minor_ideal_equals_closed_form(sweep9):
     ok = not sweep9["fitting_mismatches"] and sweep9["pairs"] >= 1000
     note = ("tight corner iff fitting==input held throughout"
@@ -102,12 +103,14 @@ def test_acceptance_02_minor_ideal_equals_closed_form(sweep9):
            f"{sweep9['pairs']} cases, {len(sweep9['fitting_mismatches'])} mismatches; {note}")
 
 
+@pytest.mark.slow
 def test_acceptance_03_generator_count(sweep9):
     ok = not sweep9["mu_mismatches"]
     report(3, "generator count r+e on the exhaustive 9x9 sweep", ok,
            f"{sweep9['pairs']} cases, {len(sweep9['mu_mismatches'])} mismatches")
 
 
+@pytest.mark.slow
 def test_acceptance_04_colength_gap_equality(sweep9, order5_a):
     mat = ic.build_module(order5_a, 4)
     lat = lattice_colength(order5_a)
@@ -118,6 +121,7 @@ def test_acceptance_04_colength_gap_equality(sweep9, order5_a):
            f"{sweep9['gap_cases']} cases, anchor 23-17=6 -> {lat}-{eng}")
 
 
+@pytest.mark.slow
 def test_acceptance_05_colength_gap_bound(sweep9, complete8):
     rng = random.Random(20260810)
     violations = []
@@ -164,6 +168,7 @@ def test_acceptance_07_counterexample_witness():
            f"witnesses={[tuple(w) for w in verdict.witnesses]}")
 
 
+@pytest.mark.slow
 def test_acceptance_08_multiplicity_dual_oracle(complete8):
     from icmod.algebra import BiPoly
     from icmod.modmat import PresMatrix

@@ -119,9 +119,55 @@ def test_pivot_span_matches_dense_rank():
             row = [(c, rng.randint(-4, 4)) for c in rng.sample(range(n), rng.randint(1, n))]
             rows.append([(c, v) for c, v in row if v])
         rows = [r for r in rows if r]
-        span = PivotSpan()
-        got = sum(1 for row in rows if span.add(dict(row)))
+        span = PivotSpan(n)
+        got = sum(1 for row in rows if span.add(row))
         assert got == span.rank == _dense_rank(rows, n)
+
+
+def _suffix_filling_rows(rng, n):
+    """Random rows in random order, among them ones that fill a coordinate suffix.
+
+    For each coordinate j from a random start up there is a row leading at j,
+    so the span holds that whole suffix once they are all in.  The other rows
+    are random, or integer combinations of two other rows (these reduce to
+    zero when they come after both).
+    """
+    start = rng.randrange(n)
+    rows = [[(j, rng.choice((-3, -2, -1, 1, 2, 3)))]
+            + [(c, rng.randint(-5, 5)) for c in range(j + 1, n)] for j in range(start, n)]
+    for _ in range(rng.randint(0, 2 * n)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            (r1, r2), (m1, m2) = rng.sample(rows, 2), (rng.randint(-3, 3), rng.randint(-3, 3))
+            dense = [0] * n
+            for r, m in ((r1, m1), (r2, m2)):
+                for c, v in r:
+                    dense[c] += m * v
+            rows.append([(c, v) for c, v in enumerate(dense)])
+        else:
+            rows.append([(c, rng.randint(-4, 4)) for c in rng.sample(range(n), rng.randint(1, n))])
+    rng.shuffle(rows)
+    return [[(c, v) for c, v in row if v] for row in rows]
+
+
+def test_pivot_span_trimmed_suffix_matches_dense_rank():
+    rng = random.Random(23)
+    trimmed = 0
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        span = PivotSpan(n)
+        seen = []
+        for row in _suffix_filling_rows(rng, n):
+            before, top = _dense_rank(seen, n), span.top
+            seen.append(row)
+            after = _dense_rank(seen, n)
+            assert span.add(row) == (after > before) and span.rank == after
+            members = [_dense_rank(seen + [[(u, 1)]], n) == after for u in range(n)]
+            assert [span.contains_single(u) for u in range(n)] == members
+            # top is the start of the longest coordinate suffix inside the span
+            assert span.top == next(t for t in range(n + 1) if all(members[t:]))
+            trimmed += any(c >= top for c, _v in row)
+        assert span.top < n
+    assert trimmed > 100
 
 
 def test_span_membership_of_basis_vectors():
@@ -132,11 +178,11 @@ def test_span_membership_of_basis_vectors():
     assert span.contains_single(0) and span.contains_single(1)
     assert not span.contains_single(2)
 
-    ps = PivotSpan()
-    ps.add({0: 2, 1: 3})
+    ps = PivotSpan(3)
+    ps.add([(0, 2), (1, 3)])
     assert not ps.contains_single(0)
-    ps.add({1: 1})
-    assert ps.contains_single(0)
+    ps.add([(1, 1)])
+    assert ps.contains_single(0) and not ps.contains_single(2)
 
 
 def test_monomial_position_is_degree_lex():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import MAX_EXPONENT, MAX_RANK, MAX_TRIALS, atlas_rows, main, render_svg
+from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, atlas_rows,
+                       main, render_svg)
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -137,11 +138,42 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
     for argv in (["classify", m_top], ["classify", m_top, "--rank", too_high],
                  ["audit", m_top, "--check", "gap-equality", "--rank", too_high],
                  ["audit", m_top, "--check", "gap-bound", "--rank", too_high],
-                 ["audit", str(rank), "--check", "summand"]):
+                 ["audit", str(rank), "--check", "summand"], ["mult", str(rank)]):
         code, out, err = run(capsys, argv)
         assert code == 4 and not out and "capped" in err, argv
     code, out, _err = run(capsys, ["classify", m_top, "--rank", str(MAX_RANK)])
     assert code == 0 and json.loads(out)["indecomposable"] == "thm_5_2"
+
+    # the matrix audits enumerate minors over column sets, so matrix JSON is capped by width
+    # (the rank-2 module of m^k has k + 2 columns)
+    wide = tmp_path / "wide.json"
+    for k, admitted in ((MAX_COLUMNS - 1, False), (MAX_COLUMNS - 2, True)):
+        wide.write_text(json.dumps(ic.build_module(ic.maximal_ideal_power(k), 2).to_json()))
+        for check in ("gap-bound", "summand"):
+            code, out, err = run(capsys, ["audit", str(wide), "--check", check])
+            if admitted:
+                assert code == 0 and out, check
+            else:
+                assert code == 4 and not out and "capped" in err, check
+
+    # --trunc-cap is checked after the input is read, so malformed input still exits 2
+    pure = ic.canonicalize([(8, 0), (0, 8)])
+    mat = tmp_path / "pure.json"
+    mat.write_text(json.dumps(ic.from_ideal(pure).to_json()))
+    ideal = write_ideal(tmp_path, pure, "pure_ideal.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("[")
+    over = ["--trunc-cap", str(MAX_TRUNC_CAP + 1)]
+    for argv in (["length", str(mat)], ["mult", ideal], ["mult", str(mat)],
+                 ["audit", ideal, "--check", "gap-equality"],
+                 ["atlas", "--max-a", "2", "--max-b", "2"]):
+        code, out, err = run(capsys, argv + over)
+        assert code == 4 and not out and "capped" in err, argv
+    for verb in (["length"], ["mult"], ["audit", "--check", "gap-bound"]):
+        code, out, _err = run(capsys, verb + [str(bad)] + over)
+        assert code == 2 and not out, verb
+    code, out, _err = run(capsys, ["length", str(mat), "--trunc-cap", str(MAX_TRUNC_CAP)])
+    assert code == 0 and json.loads(out)["colength"] == 64
 
     path = write_ideal(tmp_path, ic.maximal_ideal(), "m.json")
     code, out, err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS + 1)])

@@ -37,6 +37,15 @@ def test_contains(showcase_b):
     assert not showcase_b.contains((0, 0))
 
 
+def test_contains_matches_linear_scan():
+    non_primary = [ic.canonicalize([(3, 1), (1, 4)]), ic.canonicalize([(2, 0)])]
+    for ideal in list(ic.enumerate_staircases(5, 5)) + non_primary:
+        for a in range(7):
+            for b in range(7):
+                expected = any(g.a <= a and g.b <= b for g in ideal.gens)
+                assert ideal.contains((a, b)) == expected, (ideal.to_pairs(), a, b)
+
+
 def test_order(showcase_a):
     assert showcase_a.order() == 5
     assert ic.maximal_ideal().order() == 1
@@ -210,7 +219,7 @@ def test_canonicalize_minimality_property(points):
     for i, g in enumerate(gens):
         for j, h in enumerate(gens):
             if i != j:
-                assert not g.divides(h)
+                assert not (g.a <= h.a and g.b <= h.b)
     assert all(gens[i].a > gens[i + 1].a for i in range(len(gens) - 1))
     assert all(gens[i].b < gens[i + 1].b for i in range(len(gens) - 1))
 
