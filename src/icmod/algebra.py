@@ -86,10 +86,6 @@ class BiPoly:
         """Terms in canonical order (degree-lex, x before y, descending)."""
         return sorted(self._terms.items(), key=_term_key)
 
-    @property
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -106,12 +102,6 @@ class BiPoly:
         if not self._terms:
             return None
         return min(m.a + m.b for m in self._terms)
-
-    def single_term(self) -> tuple[int, int, int]:
-        if len(self._terms) != 1:
-            raise ValueError("polynomial is not a single term")
-        (mon, c), = self._terms.items()
-        return (mon.a, mon.b, c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import Monomial
 from .modmat import (
+    DEFAULT_CAP,
     NegativeExponent,
     NotNormalized,
     PresMatrix,
@@ -156,7 +157,7 @@ class GapEquality:
     passed: bool
 
 
-def audit_gap_equality(ideal: MonomialIdeal, rank: int, cap: int = 64) -> GapEquality:
+def audit_gap_equality(ideal: MonomialIdeal, rank: int, cap: int = DEFAULT_CAP) -> GapEquality:
     """Colength gap between the minor ideal and the module, against e(e-1)/2.
 
     Only meaningful when the minor ideal is complete; refuses otherwise.
@@ -177,7 +178,7 @@ class GapBound:
     passed: bool
 
 
-def audit_gap_bound(mat: PresMatrix, cap: int = 64) -> GapBound:
+def audit_gap_bound(mat: PresMatrix, cap: int = DEFAULT_CAP) -> GapBound:
     """Colength gap lower bound e(e-1)/2 for an integrally closed module.
 
     The integral closedness certificate is the caller's (complete minor ideal

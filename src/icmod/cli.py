@@ -28,7 +28,7 @@ MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per stai
 MAX_RANK = 6  # classify and audit enumerate minors, about 2.5 times as many per rank
 MAX_TRIALS = 100
 MAX_TRUNC_CAP = 80  # a truncation at degree D has about D^2 / 2 coordinates per matrix row
-MAX_COLUMNS = 12  # the matrix audits keep a partial minor per set of used columns
+MAX_COLUMNS = 12  # audits keep a partial minor per column set, length spans every column
 
 
 class BoundsTooLarge(ValueError):
@@ -81,6 +81,11 @@ def _check_size(obj, rank: int | None = None) -> None:
         raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
     if rank is not None and rank > MAX_RANK:
         raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
+
+
+def _check_columns(obj) -> None:
+    if isinstance(obj, modmat.PresMatrix) and obj.ncols > MAX_COLUMNS:
+        raise BoundsTooLarge(f"matrix inputs are capped at {MAX_COLUMNS} columns")
 
 
 def _check_trunc_cap(args) -> None:
@@ -146,6 +151,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_construct(args) -> int:
     ideal = _load_ideal(args.input)
+    modmat.module_spec(ideal, args.rank)  # an unmet precondition exits 2 before the guardrail
+    _check_size(ideal, args.rank)
     mat = modmat.build_module(ideal, args.rank)
     _emit(mat.to_json(), args.json)
     return 0
@@ -157,6 +164,8 @@ def _cmd_length(args) -> int:
     if isinstance(obj, staircase.MonomialIdeal):
         _emit({"kind": "ideal", "colength": obj.colength()}, args.json)
     else:
+        _check_size(obj, obj.rank)
+        _check_columns(obj)
         value = modmat.colength_module(obj, cap=args.trunc_cap)
         _emit({"kind": "module", "colength": value}, args.json)
     return 0
@@ -196,8 +205,7 @@ def _cmd_audit(args) -> int:
         obj = _load_ideal_or_matrix(args.input)
     rank = obj.rank if isinstance(obj, modmat.PresMatrix) else args.rank
     _check_size(obj, None if args.check == "split" else rank)
-    if isinstance(obj, modmat.PresMatrix) and obj.ncols > MAX_COLUMNS:
-        raise BoundsTooLarge(f"matrix audits are capped at {MAX_COLUMNS} columns")
+    _check_columns(obj)
     _check_trunc_cap(args)
     if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
         obj = modmat.build_module(obj.normalized(), rank)
@@ -259,7 +267,7 @@ def _encode_gens(pairs) -> str:
 
 
 def atlas_rows(max_a: int, max_b: int, which: str = "all",
-               cap: int = 64) -> list[AtlasRow]:
+               cap: int = modmat.DEFAULT_CAP) -> list[AtlasRow]:
     """Deterministic atlas over all complete normalized staircases in a box."""
     if max_a > ATLAS_MAX_BOUND or max_b > ATLAS_MAX_BOUND:
         raise BoundsTooLarge(f"bounds are capped at {ATLAS_MAX_BOUND}")
@@ -390,8 +398,9 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="trials for randomized reductions (default 4)",
                         **({"default": 4} if top else d))
     parser.add_argument("--trunc-cap", type=_int_at_least(2), dest="trunc_cap",
-                        help="largest truncation degree the certificates try (default 64)",
-                        **({"default": 64} if top else d))
+                        help="largest truncation degree the certificates try "
+                        f"(default {modmat.DEFAULT_CAP})",
+                        **({"default": modmat.DEFAULT_CAP} if top else d))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,8 @@ from itertools import combinations
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
 from .staircase import MonomialIdeal, NotPrimary, canonicalize
 
+DEFAULT_CAP = 64  # largest truncation degree the Nakayama certificates try by default
+
 
 class RankOutOfRange(ValueError):
     """Requested rank outside 2..r."""
@@ -170,13 +172,13 @@ def direct_sum(p1: PresMatrix, p2: PresMatrix) -> PresMatrix:
 # minors and Fitting ideals
 # ---------------------------------------------------------------------------
 
-def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
-    """All nonzero t-by-t minors keyed by (row tuple, column tuple).
+def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple[tuple[int, ...], int], dict]:
+    """All nonzero t-by-t minors keyed by (row tuple, column bitmask).
 
     Laplace expansion along the rows of each row subset: the partial minor of
-    the first k rows is kept per set of used columns (a bitmask) as a sparse
-    term dict, and dropped as soon as it cancels to zero, so only column sets
-    that can still carry a nonzero determinant are extended.
+    the first k rows is kept per set of used columns (bit j for column j) as a
+    term dict {(a, b): coefficient} and dropped once it cancels to zero, so
+    only live column sets are extended; the final dicts are the values.
     """
     e = mat.rank
     if not 1 <= t <= e:
@@ -186,7 +188,7 @@ def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
         for i, entry in enumerate(col):
             if entry:
                 row_entries[i].append((j, [(m.a, m.b, c) for m, c in entry.items()]))
-    table: dict[tuple, BiPoly] = {}
+    table: dict[tuple[tuple[int, ...], int], dict] = {}
     for rows in combinations(range(e), t):
         partial: dict[int, dict] = {0: {(0, 0): 1}}
         for i in rows:
@@ -208,34 +210,31 @@ def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple, BiPoly]:
                                 acc.pop(mon, None)
             partial = {mask: poly for mask, poly in grown.items() if poly}
         for mask, poly in partial.items():
-            cols = tuple(j for j in range(mat.ncols) if mask >> j & 1)
-            table[(rows, cols)] = BiPoly(poly)
+            table[(rows, mask)] = poly
     return table
 
 
 def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     """Certified monomial ideal of t-minors.
 
-    The candidate is generated by the single-term minors (signs dropped); the
-    certificate checks that every term of every minor is divisible by some
-    candidate generator.  Refuses with NonMonomialIdeal otherwise, so callers
-    never reason about an uncertified monomial structure.
+    The candidate is generated by the one-term minors (signs dropped), each of
+    which is then divisible by a candidate generator; the certificate checks
+    that every term of every minor with two or more terms is too, in canonical
+    term order.  Refuses with NonMonomialIdeal otherwise, so callers never
+    reason about an uncertified monomial structure.
     """
-    dets = list(signed_minor_table(mat, t).values())
-    singles = []
-    for det in dets:
-        if det.num_terms == 1:
-            a, b, _c = det.single_term()
-            singles.append((a, b))
+    dets = signed_minor_table(mat, t).values()
+    singles = [mon for det in dets if len(det) == 1 for mon in det]
     if not singles:
         raise NonMonomialIdeal(f"no single-term {t}-minors to generate from")
     ideal = canonicalize(singles)
     for det in dets:
-        for mon, _c in det.items():
-            if not ideal.contains(mon):
-                raise NonMonomialIdeal(
-                    f"minor term x^{mon.a} y^{mon.b} is not reducible by the candidate ideal"
-                )
+        if len(det) > 1:
+            for mon, _c in BiPoly(det).items():
+                if not ideal.contains(mon):
+                    raise NonMonomialIdeal(
+                        f"minor term x^{mon.a} y^{mon.b} is not reducible by the candidate ideal"
+                    )
     return ideal
 
 
@@ -329,7 +328,7 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
     raise NotFiniteColength(f"certificate failed at all truncation degrees up to the cap {cap}")
 
 
-def colength_module(mat: PresMatrix, cap: int = 64) -> int:
+def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     """Length of the free quotient, certified by the Nakayama stopping rule.
 
     At truncation degree D the deficiency of the span of all monomial
@@ -339,7 +338,7 @@ def colength_module(mat: PresMatrix, cap: int = 64) -> int:
     return certified_colength(mat, cap)[0]
 
 
-def mu_module(mat: PresMatrix, cap: int = 64) -> int:
+def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     """Minimal number of generators, as a certified truncated rank difference.
 
     The rank the columns add to their positive-degree multiples is a lower

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import BiPoly
 from .modmat import (
+    DEFAULT_CAP,
     AbortColength,
     NotFiniteColength,
     PresMatrix,
@@ -84,13 +85,12 @@ def _sampled_minors(mat: PresMatrix, coeffs) -> list[BiPoly]:
         cols.append(col)
     table = signed_minor_table(PresMatrix(e, tuple(cols)), e)
     rows = tuple(range(e))
-    zero = BiPoly.zero()
-    return [table.get((rows, tuple(j for j in range(e + 1) if j != k)), zero)
-            for k in range(e + 1)]
+    full = (1 << (e + 1)) - 1
+    return [BiPoly(table.get((rows, full ^ (1 << k)))) for k in range(e + 1)]
 
 
 def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
-                        cap: int = 64) -> ReductionSample:
+                        cap: int = DEFAULT_CAP) -> ReductionSample:
     """Buchsbaum-Rim multiplicity from sampled rank-plus-one reductions.
 
     Each trial draws e+1 random integer combinations of the columns
@@ -154,7 +154,7 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
 
 
 def reduction_multiplicity(ideal: MonomialIdeal, trials: int = 4, seed: int = 0,
-                           cap: int = 64) -> ReductionSample:
+                           cap: int = DEFAULT_CAP) -> ReductionSample:
     """Multiplicity of an m-primary ideal: the rank-one case of module_multiplicity.
 
     Each trial draws two integer combinations of the staircase generators and
@@ -176,7 +176,7 @@ class DifferenceCheck:
 
 
 def check_difference_formula(mat: PresMatrix, trials: int = 4, seed: int = 0,
-                             cap: int = 64) -> DifferenceCheck:
+                             cap: int = DEFAULT_CAP) -> DifferenceCheck:
     """Compare colength gap and multiplicity gap for an integrally closed module.
 
     lhs is the colength of the minor ideal minus the module colength; rhs is

@@ -9,7 +9,7 @@ fraction-free elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -100,6 +100,35 @@ def permutation_det(entries) -> ic.BiPoly:
             prod = prod * entries[i][perm[i]]
         total = total + (prod if sign > 0 else -prod)
     return total
+
+
+def term_dict(poly: ic.BiPoly) -> dict[tuple[int, int], int]:
+    """Terms of a polynomial as the minor table stores them: {(a, b): coefficient}."""
+    return {(mon.a, mon.b): c for mon, c in poly.items()}
+
+
+def brute_minors(mat: ic.PresMatrix, t: int) -> dict:
+    """Every nonzero t-minor as a term dict, keyed by (row tuple, column bitmask)."""
+    minors = {}
+    for rows in combinations(range(mat.rank), t):
+        for cs in combinations(range(mat.ncols), t):
+            det = permutation_det([[mat.cols[j][i] for j in cs] for i in rows])
+            if det:
+                minors[(rows, sum(1 << j for j in cs))] = term_dict(det)
+    return minors
+
+
+def brute_fitting(mat: ic.PresMatrix, t: int) -> ic.MonomialIdeal | None:
+    """Ideal of the one-term t-minors if it holds every term of every t-minor, else None."""
+    dets = brute_minors(mat, t).values()
+    singles = [mon for det in dets if len(det) == 1 for mon in det]
+    if not singles:
+        return None
+    for det in dets:
+        for a, b in det:
+            if not any(a >= sa and b >= sb for sa, sb in singles):
+                return None
+    return ic.canonicalize(singles)
 
 
 def rank_exact(rows) -> int:

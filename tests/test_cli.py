@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,23 +139,25 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
     for argv in (["classify", m_top], ["classify", m_top, "--rank", too_high],
                  ["audit", m_top, "--check", "gap-equality", "--rank", too_high],
                  ["audit", m_top, "--check", "gap-bound", "--rank", too_high],
-                 ["audit", str(rank), "--check", "summand"], ["mult", str(rank)]):
+                 ["audit", str(rank), "--check", "summand"], ["mult", str(rank)],
+                 ["length", str(rank)], ["construct", m_top, "--rank", too_high]):
         code, out, err = run(capsys, argv)
         assert code == 4 and not out and "capped" in err, argv
     code, out, _err = run(capsys, ["classify", m_top, "--rank", str(MAX_RANK)])
     assert code == 0 and json.loads(out)["indecomposable"] == "thm_5_2"
 
-    # the matrix audits enumerate minors over column sets, so matrix JSON is capped by width
-    # (the rank-2 module of m^k has k + 2 columns)
+    # the matrix audits enumerate minors over column sets and length spans every column,
+    # so matrix JSON is capped by width (the rank-2 module of m^k has k + 2 columns)
     wide = tmp_path / "wide.json"
     for k, admitted in ((MAX_COLUMNS - 1, False), (MAX_COLUMNS - 2, True)):
         wide.write_text(json.dumps(ic.build_module(ic.maximal_ideal_power(k), 2).to_json()))
-        for check in ("gap-bound", "summand"):
-            code, out, err = run(capsys, ["audit", str(wide), "--check", check])
+        for verb in (["audit", "--check", "gap-bound"], ["audit", "--check", "summand"],
+                     ["length"]):
+            code, out, err = run(capsys, verb[:1] + [str(wide)] + verb[1:])
             if admitted:
-                assert code == 0 and out, check
+                assert code == 0 and out, verb
             else:
-                assert code == 4 and not out and "capped" in err, check
+                assert code == 4 and not out and "capped" in err, verb
 
     # --trunc-cap is checked after the input is read, so malformed input still exits 2
     pure = ic.canonicalize([(8, 0), (0, 8)])
@@ -385,15 +388,7 @@ _request = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(_request)
-def test_cli_exit_codes_on_small_malformed_inputs(request):
-    verb, obj, (cap, trials, seed) = request
-    argv = ["--trunc-cap", cap, "--trials", trials, "--seed", seed] + verb
-    if verb[0] == "atlas":
-        argv += ["--max-a", "3"] if verb[1] == "--max-b" else ["--max-b", "3"]
-    else:
-        argv.insert(len(argv) - len(verb) + 1, "-")
+def _run_on_stdin(argv, obj):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(obj))
@@ -405,7 +400,67 @@ def test_cli_exit_codes_on_small_malformed_inputs(request):
                 code = exc.code
     finally:
         sys.stdin = saved
-    assert code in (0, 2, 3, 4), (argv, obj, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_request)
+def test_cli_exit_codes_on_small_malformed_inputs(request):
+    verb, obj, (cap, trials, seed) = request
+    argv = ["--trunc-cap", cap, "--trials", trials, "--seed", seed] + verb
+    if verb[0] == "atlas":
+        argv += ["--max-a", "3"] if verb[1] == "--max-b" else ["--max-b", "3"]
+    else:
+        argv.insert(len(argv) - len(verb) + 1, "-")
+    code, out, err = _run_on_stdin(argv, obj)
+    assert code in (0, 2, 3, 4), (argv, obj, err)
+    assert "Traceback" not in err
     # a failure says why; a success is never silent
-    assert err.getvalue() if code else out.getvalue()
+    assert err if code else out
+
+
+def _matrix(rank, ncols, top=2):
+    return {"rank": rank, "cols": [[[[top, 1, 1]]] * rank] * ncols}
+
+
+# each request is well formed and one step past exactly one guardrail
+_just_above = st.one_of(
+    st.tuples(st.sampled_from([["closure"], ["factor"], ["classify"], ["render"],
+                               ["construct", "--rank", "2"],
+                               ["audit", "--check", "gap-equality", "--rank", "2"],
+                               ["audit", "--check", "gap-bound", "--rank", "2"],
+                               ["audit", "--check", "split", "--part1", "0"],
+                               ["audit", "--check", "summand", "--rank", "2"]]),
+              st.integers(2, 9).map(lambda a: {"gens": [[a, 0], [1, 1],
+                                                        [0, MAX_EXPONENT + 1]]})),
+    st.tuples(st.sampled_from([["classify"], ["classify", "--rank", str(MAX_RANK + 1)],
+                               ["construct", "--rank", str(MAX_RANK + 1)]]
+                              + [["audit", "--check", check, "--rank", str(MAX_RANK + 1)]
+                                 for check in ("gap-equality", "gap-bound", "summand")]),
+              st.integers(MAX_RANK + 1, MAX_RANK + 4).map(
+                  lambda k: ic.maximal_ideal_power(k).to_json())),
+    st.tuples(st.sampled_from([["length"], ["mult"], ["audit", "--check", "gap-bound"],
+                               ["audit", "--check", "summand"]]),
+              st.one_of(st.integers(1, 3).map(lambda n: _matrix(MAX_RANK + 1, n)),
+                        st.tuples(st.integers(1, MAX_RANK), st.integers(1, 3)).map(
+                            lambda rn: _matrix(*rn, top=MAX_EXPONENT + 1)))),
+    st.tuples(st.sampled_from([["length"], ["audit", "--check", "gap-bound"],
+                               ["audit", "--check", "summand"]]),
+              st.integers(1, MAX_RANK).map(lambda e: _matrix(e, MAX_COLUMNS + 1))),
+    st.tuples(st.sampled_from([["length", "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
+                               ["mult", "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
+                               ["audit", "--check", "gap-equality",
+                                "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
+                               ["mult", "--trials", str(MAX_TRIALS + 1)]]),
+              st.integers(1, 6).map(lambda k: ic.maximal_ideal_power(k).to_json())),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_just_above)
+def test_cli_exits_4_at_once_just_above_each_guardrail(request):
+    verb, obj = request
+    start = time.perf_counter()
+    code, out, err = _run_on_stdin(verb[:1] + ["-"] + verb[1:], obj)
+    assert code == 4 and not out and "capped" in err, (verb, obj, err)
+    assert time.perf_counter() - start < 1.0, verb

@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +13,7 @@ from icmod.modmat import (
     certified_colength,
 )
 
-from conftest import lattice_colength, permutation_det
+from conftest import brute_fitting, brute_minors, lattice_colength, term_dict
 
 
 def entries_row1(mat):
@@ -25,16 +23,16 @@ def entries_row1(mat):
 def test_build_structure_showcase_a(showcase_a):
     mat = ic.build_module(showcase_a, 4)
     assert mat.rank == 4 and mat.ncols == 9
-    f_exps = [col[0].single_term()[:2] for col in mat.cols[:3]]
+    f_exps = [mon for col in mat.cols[:3] for mon, _c in col[0].items()]
     assert f_exps == [(4, 0), (1, 1), (0, 2)]
-    h_exps = [col[i + 1].single_term()[:2] for i, col in enumerate(mat.cols[6:])]
+    h_exps = [mon for i, col in enumerate(mat.cols[6:]) for mon, _c in col[i + 1].items()]
     assert h_exps == [(0, 3), (0, 3), (0, 6)]
 
 
 def test_build_structure_showcase_b(showcase_b):
     mat = ic.build_module(showcase_b, 5)
     assert mat.ncols == 10
-    h_exps = [col[i + 1].single_term()[:2] for i, col in enumerate(mat.cols[6:])]
+    h_exps = [mon for i, col in enumerate(mat.cols[6:]) for mon, _c in col[i + 1].items()]
     assert h_exps == [(0, 2), (0, 2), (0, 3), (0, 5)]
 
 
@@ -59,9 +57,10 @@ def test_module_spec_invariants(showcase_b):
 
 def test_minors_counts_and_band_recursion(showcase_a):
     mat = ic.build_module(showcase_a, 2)
-    ones = ic.signed_minor_table(mat, 1).values()
-    entries = [e for col in mat.cols for e in col if e]
-    assert sorted(str(p) for p in ones) == sorted(str(e) for e in entries)
+    # each 1-minor is one nonzero entry, keyed by its row and its column's bit
+    entries = {((i,), 1 << j): term_dict(entry)
+               for j, col in enumerate(mat.cols) for i, entry in enumerate(col) if entry}
+    assert ic.signed_minor_table(mat, 1) == entries
 
     # 2x4 band with unit y-powers: top minors generate the maximal ideal squared
     band = PresMatrix(2, ((X, BiPoly.zero()), (Y, X), (Y, BiPoly.zero()),
@@ -70,13 +69,10 @@ def test_minors_counts_and_band_recursion(showcase_a):
 
 
 def test_minor_table_against_permutation_expansion(showcase_a):
-    mat = ic.build_module(showcase_a, 3)
-    table = ic.signed_minor_table(mat, 3)
-    rows = (0, 1, 2)
-    for cs in combinations(range(mat.ncols), 3):
-        entries = [[mat.cols[j][i] for j in cs] for i in range(3)]
-        expected = permutation_det(entries)
-        assert table.get((rows, cs), BiPoly.zero()) == expected
+    multi_term = PresMatrix(2, ((X + Y, BiPoly.term(0, 2)), (BiPoly.term(2, 0, -1), X),
+                                (Y, BiPoly.zero())))
+    for mat, t in ((ic.build_module(showcase_a, 3), 3), (multi_term, 2)):
+        assert ic.signed_minor_table(mat, t) == brute_minors(mat, t)
 
 
 small_entries = st.dictionaries(
@@ -97,13 +93,19 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_minor_table_matches_permutation_expansion_on_multi_term_matrices(mat):
     for t in range(1, mat.rank + 1):
-        expected = {}
-        for rows in combinations(range(mat.rank), t):
-            for cs in combinations(range(mat.ncols), t):
-                det = permutation_det([[mat.cols[j][i] for j in cs] for i in rows])
-                if det:
-                    expected[(rows, cs)] = det
-        assert ic.signed_minor_table(mat, t) == expected
+        assert ic.signed_minor_table(mat, t) == brute_minors(mat, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_fitting_ideal_matches_one_term_minor_oracle(mat):
+    for t in range(1, mat.rank + 1):
+        expected = brute_fitting(mat, t)
+        if expected is None:
+            with pytest.raises(NonMonomialIdeal):
+                ic.fitting_ideal(mat, t)
+        else:
+            assert ic.fitting_ideal(mat, t) == expected
 
 
 def test_fitting_ideal_examples(showcase_a):
