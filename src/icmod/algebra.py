@@ -16,12 +16,6 @@ def tri(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def monomial_position(a: int, b: int) -> int:
-    """Index of x^a y^b in the degree-lex enumeration (x before y)."""
-    d = a + b
-    return tri(d) + b
-
-
 class Monomial(NamedTuple):
     """Exponent pair (a, b) standing for x^a y^b."""
 
@@ -73,10 +67,6 @@ class BiPoly:
         return cls()
 
     @classmethod
-    def one(cls) -> "BiPoly":
-        return cls.term(0, 0, 1)
-
-    @classmethod
     def term(cls, a: int, b: int, c: int = 1) -> "BiPoly":
         p = cls.__new__(cls)
         p._terms = {Monomial(a, b): c} if c else {}
@@ -88,13 +78,6 @@ class BiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m.a + m.b for m in self._terms)
 
     @property
     def order(self) -> int | None:
@@ -194,7 +177,7 @@ Y = BiPoly.term(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# incremental row spans for the truncation engines
+# incremental row spans for the graded and truncation engines
 # ---------------------------------------------------------------------------
 
 class GraphSpan:

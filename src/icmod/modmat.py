@@ -1,11 +1,15 @@
 """Presentation matrices of finite-colength submodules of a free module.
 
 Builds the rank-e module attached to a normalized staircase, computes Fitting
-ideals from exact minors, and certifies minimal generator counts and
-colengths by truncated linear algebra with a Nakayama stopping certificate;
-both run one truncation builder over one degree sequence that ends at the
-cap.  Pure computation throughout; the minor sweep and the truncated spans
-are deterministic regardless of evaluation order.
+ideals from exact minors, and measures colengths and minimal generator counts
+with two engines.  A Z^2-graded matrix (every entry a single term, and row
+and column degrees that fit every entry; build_module, from_ideal and
+direct_sum all give one) gets exact sums over the grid of its row and column
+degrees, with no truncation and no cap.  Any other matrix, such as a sampled
+reduction, gets truncated linear algebra with a Nakayama stopping
+certificate, run by one truncation builder over one degree sequence that ends
+at the cap.  Pure computation throughout; the minor sweep and the spans are
+deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -248,7 +252,104 @@ def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# truncated linear algebra with Nakayama certificates
+# graded presentations: exact sums over the grid of row and column degrees
+# ---------------------------------------------------------------------------
+
+def _grading(mat: PresMatrix):
+    """Row degrees, column degrees and column coefficient vectors, or None.
+
+    A single-term entry c x^a y^b in row i and column j ties the degrees
+    together: delta_j = w_i + (a, b).  A walk over the row/column graph fixes
+    every degree from one root row per connected component, put at (0, 0); a
+    row with no entries is a component of its own.  The matrix is not graded
+    when an entry has two or more terms or when two entries of a column give
+    it two different degrees.  The vector of column j lists its
+    (row, coefficient) pairs.
+    """
+    e = mat.rank
+    col_terms = []
+    row_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(e)]
+    for j, col in enumerate(mat.cols):
+        terms = []
+        for i, entry in enumerate(col):
+            if entry:
+                items = entry.items()
+                if len(items) > 1:
+                    return None
+                (a, b), c = items[0]
+                terms.append((i, a, b, c))
+                row_edges[i].append((j, a, b))
+        col_terms.append(terms)
+    row_deg: list = [None] * e
+    col_deg: list = [None] * len(col_terms)
+    for root in range(e):
+        if row_deg[root] is not None:
+            continue
+        row_deg[root] = (0, 0)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            wx, wy = row_deg[i]
+            # every row is popped once, so this checks every entry against its column
+            for j, a, b in row_edges[i]:
+                d = (wx + a, wy + b)
+                if col_deg[j] is None:
+                    col_deg[j] = d
+                    for k, ka, kb, _c in col_terms[j]:
+                        if row_deg[k] is None:
+                            row_deg[k] = (d[0] - ka, d[1] - kb)
+                            stack.append(k)
+                elif col_deg[j] != d:
+                    return None
+    vecs = [[(i, c) for i, _a, _b, c in terms] for terms in col_terms]
+    return row_deg, col_deg, vecs
+
+
+def _graded_sweep(row_deg, col_deg, vecs) -> tuple[int | None, int]:
+    """Colength (None when infinite) and generator count of a graded presentation.
+
+    The degree-delta piece of the free module has one basis vector
+    x^(delta - w_i) e_i for each row with w_i <= delta, and the submodule's
+    piece is spanned by the vectors of the columns with delta_j <= delta.  Both
+    are constant on the cells of the grid cut out by the row and column
+    degrees.  Each x-strip of the grid is swept in y order with one span on the
+    rows: the colength sums deficiency times cell area, and the generator count
+    sums the rank that the columns of degree exactly the cell corner add to the
+    columns below them, which go in first (at equal y, those left of the strip).
+    """
+    graph = all(len(v) == 1 or (len(v) == 2 and abs(v[0][1]) == abs(v[1][1])) for v in vecs)
+    events = sorted([(wy, wx, None) for wx, wy in row_deg]
+                    + [(dy, dx, v) for (dx, dy), v in zip(col_deg, vecs)],
+                    key=lambda ev: (ev[0], ev[1]))
+    strips = sorted({x for _y, x, _v in events})
+    colength = mu = 0
+    finite = True
+    for k, strip in enumerate(strips):
+        width = strips[k + 1] - strip if k + 1 < len(strips) else None
+        span = (GraphSpan if graph else PivotSpan)(len(row_deg))
+        rows = deficiency = 0
+        low = None
+        for y, x, vec in events:
+            if x > strip:
+                continue
+            if deficiency and y != low:  # close the cells [low, y) of this strip
+                if width is None:
+                    finite = False
+                else:
+                    colength += deficiency * width * (y - low)
+            low = y
+            if vec is None:
+                rows += 1
+            elif span.add(vec) and x == strip:
+                mu += 1
+            deficiency = rows - span.rank
+        if deficiency:  # the cell above the last event is unbounded
+            finite = False
+    return (colength if finite else None), mu
+
+
+# ---------------------------------------------------------------------------
+# truncated linear algebra with Nakayama certificates (ungraded input)
 # ---------------------------------------------------------------------------
 
 def _column_terms(mat: PresMatrix) -> list[tuple[list[tuple[int, int, int, int]], int]]:
@@ -262,23 +363,14 @@ def _column_terms(mat: PresMatrix) -> list[tuple[list[tuple[int, int, int, int]]
     return cols
 
 
-def _graph_mode(cols) -> bool:
-    for terms, _o in cols:
-        if len(terms) > 2:
-            return False
-        if len(terms) == 2 and abs(terms[0][3]) != abs(terms[1][3]):
-            return False
-    return True
-
-
-def _truncation(cols, e: int, graph: bool, deg: int) -> tuple[GraphSpan | PivotSpan, int]:
+def _truncation(cols, e: int, deg: int) -> tuple[PivotSpan, int]:
     """Span of every monomial multiple of the columns of degree <= deg.
 
     The positive-degree multiples go in first, then the columns themselves;
     the second value counts the columns that still raised the rank.
     """
     block = tri(deg + 1)
-    span = (GraphSpan if graph else PivotSpan)(e * block)
+    span = PivotSpan(e * block)
     gained = 0
     for shifted in (True, False):
         for terms, ordj in cols:
@@ -314,12 +406,13 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
     Tries the degrees start, start + 2, ... below the cap, and last the cap
     itself; start defaults to one past the largest entry degree.  Every degree
     that certifies gives the exact colength, so any nonnegative start is sound.
+    This is the truncation engine, for any matrix; the reduction sampler calls
+    it directly.
     """
     cols = _column_terms(mat)
-    graph = _graph_mode(cols)
     e = mat.rank
     for deg in _degrees(cols, cap, start):
-        span, _gained = _truncation(cols, e, graph, deg)
+        span, _gained = _truncation(cols, e, deg)
         deficiency = e * tri(deg + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
             raise AbortColength(deficiency)
@@ -329,26 +422,39 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
 
 
 def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
-    """Length of the free quotient, certified by the Nakayama stopping rule.
+    """Length of the free quotient: a grid sum when graded, else truncated ranks.
 
-    At truncation degree D the deficiency of the span of all monomial
-    multiples of degree <= D equals the colength once every degree-D basis
-    vector lies in that span; the degrees tried are those of certified_colength.
+    A graded matrix (every entry a single term, with row and column degrees
+    that agree, as for build_module, from_ideal and direct_sum) gets the exact
+    sum over the degree grid, with no cap; a nonzero piece on an unbounded
+    cell raises NotFiniteColength.  Any other matrix goes to
+    certified_colength, whose truncation degrees stop at the cap.
     """
-    return certified_colength(mat, cap)[0]
+    graded = _grading(mat)
+    if graded is None:
+        return certified_colength(mat, cap)[0]
+    colength, _mu = _graded_sweep(*graded)
+    if colength is None:
+        raise NotFiniteColength("the quotient is nonzero on an unbounded cell of the degree grid")
+    return colength
 
 
 def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
-    """Minimal number of generators, as a certified truncated rank difference.
+    """Minimal number of generators.
 
-    The rank the columns add to their positive-degree multiples is a lower
-    bound at every truncation degree; it is exact as soon as it reaches the
-    column count, and otherwise once the Nakayama certificate holds.
+    A graded matrix gets the exact count from the degree grid, with no cap,
+    whether or not its colength is finite.  Otherwise it is a certified
+    truncated rank difference: the rank the columns add to their
+    positive-degree multiples is a lower bound at every truncation degree; it
+    is exact as soon as it reaches the column count, and otherwise once the
+    Nakayama certificate holds.
     """
+    graded = _grading(mat)
+    if graded is not None:
+        return _graded_sweep(*graded)[1]
     cols = _column_terms(mat)
-    graph = _graph_mode(cols)
     for deg in _degrees(cols, cap, None):
-        span, gained = _truncation(cols, mat.rank, graph, deg)
+        span, gained = _truncation(cols, mat.rank, deg)
         if gained == mat.ncols or _tail_certified(span, mat.rank, deg):
             return gained
     raise NotFiniteColength(

@@ -95,7 +95,7 @@ def permutation_det(entries) -> ic.BiPoly:
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = ic.BiPoly.one()
+        prod = ic.BiPoly.term(0, 0)
         for i in range(n):
             prod = prod * entries[i][perm[i]]
         total = total + (prod if sign > 0 else -prod)

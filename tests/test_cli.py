@@ -331,6 +331,32 @@ def test_certificate_failure_exit_code(tmp_path, capsys):
     assert code == 3 and not out and "truncation cap 64" in err
 
 
+def test_length_of_constructed_modules_of_high_degree():
+    # the rank-3 module of (x^30, y^30)^3 has entries of degree 90; truncation
+    # certifies it only at degree 117, past every admitted --trunc-cap, but the
+    # module is graded, so length needs no truncation
+    cube = ic.canonicalize([(30, 0), (0, 30)])
+    cube = cube * cube * cube
+    code, out, _err = _run_on_stdin(["construct", "-", "--rank", "3"], cube.to_json())
+    assert code == 0
+    code, out, _err = _run_on_stdin(["length", "-"], json.loads(out))
+    assert code == 0 and json.loads(out)["colength"] == 4527
+
+    # the rank-3 module of (x^3, y^3)^30 (colength 4176) has 33 columns, past
+    # the column guardrail of length
+    power = ic.canonicalize([(3, 0), (0, 3)])
+    for _ in range(29):
+        power = power * ic.canonicalize([(3, 0), (0, 3)])
+    code, out, _err = _run_on_stdin(["construct", "-", "--rank", "3"], power.to_json())
+    assert code == 0
+    code, out, err = _run_on_stdin(["length", "-"], json.loads(out))
+    assert code == 4 and not out and "capped" in err
+
+    # infinite colength still fails the certificate at the default cap
+    code, out, err = _run_on_stdin(["length", "-"], {"rank": 1, "cols": [[[[1, 0, 1]]]]})
+    assert code == 3 and not out and "NotFiniteColength" in err
+
+
 def test_roundtrip_of_emitted_ideals(tmp_path, capsys, showcase_b):
     path = write_ideal(tmp_path, showcase_b)
     code, out, _ = run(capsys, ["closure", path, "--json"])

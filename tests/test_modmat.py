@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 import icmod as ic
 from icmod.algebra import BiPoly, X, Y
 from icmod.modmat import (
+    DEFAULT_CAP,
     NonMonomialIdeal,
     NotFiniteColength,
     NotNormalized,
     PresMatrix,
     RankOutOfRange,
+    _grading,
     certified_colength,
 )
 
@@ -145,6 +147,11 @@ def test_mu_module_examples(showcase_a, showcase_b):
 def test_colength_module_examples(showcase_a):
     assert ic.colength_module(ic.from_ideal(showcase_a)) == 23
     assert ic.colength_module(ic.build_module(showcase_a, 4)) == 17
+    # entries of degree 90: the truncation engine would need degree 91 or more
+    power = ic.canonicalize([(3, 0), (0, 3)])
+    for _ in range(29):
+        power = power * ic.canonicalize([(3, 0), (0, 3)])
+    assert ic.colength_module(ic.build_module(power, 3)) == 4176
     with pytest.raises(NotFiniteColength):
         ic.colength_module(PresMatrix(1, ((X,),)), cap=20)
 
@@ -158,12 +165,118 @@ def test_truncation_cap_is_itself_tried():
         assert certified_colength(pure, cap) == (64, 15)
     assert certified_colength(pure, 15, start=40) == (64, 15)  # a start above the cap
     with pytest.raises(NotFiniteColength):
-        ic.colength_module(pure, cap=14)
-    # a repeated column keeps mu below the column count, so mu needs the certificate too
-    dup = PresMatrix(1, pure.cols + pure.cols[:1])
+        certified_colength(pure, 14)
+    # a repeated column keeps mu below the column count, so mu needs the certificate too;
+    # repeated as x^8 + y^8, it leaves the module ungraded, so the truncation engine runs
+    dup = PresMatrix(1, pure.cols + ((BiPoly.term(8, 0) + BiPoly.term(0, 8),),))
     assert ic.mu_module(dup, cap=15) == 2
     with pytest.raises(NotFiniteColength):
         ic.mu_module(dup, cap=14)
+    # graded input is summed over its degree grid, so the cap does not bind it
+    assert ic.colength_module(pure, cap=14) == 64
+    assert ic.mu_module(PresMatrix(1, pure.cols + pure.cols[:1]), cap=14) == 2
+
+
+# ---------------------------------------------------------------------------
+# the graded engine against the truncation engine
+# ---------------------------------------------------------------------------
+
+def ungraded(mat):
+    """The same module with its first column times the unit 1 + y of the local ring.
+
+    The two-term entries leave the matrix without a grading, so colength_module
+    and mu_module run the truncation engine on it.
+    """
+    first = tuple(entry * (BiPoly.term(0, 0) + Y) for entry in mat.cols[0])
+    return PresMatrix(mat.rank, (first,) + mat.cols[1:])
+
+
+def truncation_values(mat, cap):
+    """Colength (None when no degree up to the cap certifies) and mu by truncation."""
+    twisted = ungraded(mat)
+    assert _grading(twisted) is None
+    try:
+        colength = certified_colength(mat, cap)[0]
+    except NotFiniteColength:
+        colength = None
+    try:
+        mu = ic.mu_module(twisted, cap)
+    except NotFiniteColength:
+        mu = None
+    return colength, mu
+
+
+def graded_values(mat):
+    assert _grading(mat) is not None
+    try:
+        colength = ic.colength_module(mat)
+    except NotFiniteColength:
+        colength = None
+    return colength, ic.mu_module(mat)
+
+
+def test_graded_engine_matches_truncation_on_box_slice():
+    # every 20th (staircase, rank) pair of the 9x9 box
+    pairs = [pair for k, pair in enumerate(_sweep_pairs(9)) if k % 20 == 0]
+    assert len(pairs) == 5932
+    for ideal, e in pairs:
+        mat = ic.build_module(ideal, e)
+        assert graded_values(mat) == truncation_values(mat, DEFAULT_CAP), (ideal.to_pairs(), e)
+
+
+@st.composite
+def graded_matrices(draw):
+    """Single-term entries consistent with random row and column degrees.
+
+    Rows may stay empty and columns may repeat, so colengths are finite or not;
+    pure powers on every row, when drawn, make it finite.
+    """
+    e = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                         min_size=e, max_size=e))
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        dx, dy = draw(st.sampled_from(rows))
+        dx += draw(st.integers(0, 2))
+        dy += draw(st.integers(0, 2))
+        below = [i for i, (wx, wy) in enumerate(rows) if wx <= dx and wy <= dy]
+        used = draw(st.lists(st.sampled_from(below), min_size=1, unique=True))
+        col = [BiPoly.zero()] * e
+        for i in used:
+            col[i] = BiPoly.term(dx - rows[i][0], dy - rows[i][1],
+                                 draw(st.sampled_from((-2, -1, 1, 3))))
+        cols.append(tuple(col))
+    cols += draw(st.lists(st.sampled_from(cols), max_size=2))
+    if draw(st.booleans()):  # pure powers on every row make the colength finite
+        for i in range(e):
+            for a, b in ((draw(st.integers(1, 3)), 0), (0, draw(st.integers(1, 3)))):
+                col = [BiPoly.zero()] * e
+                col[i] = BiPoly.term(a, b)
+                cols.append(tuple(col))
+    return PresMatrix(e, tuple(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_matrices(), st.one_of(st.none(), graded_matrices()))
+def test_graded_engine_matches_truncation_on_random_graded_matrices(mat, other):
+    if other is not None:
+        mat = ic.direct_sum(mat, other)
+    colength, mu = graded_values(mat)
+    # every such module of finite colength certifies well below this cap
+    t_colength, t_mu = truncation_values(mat, 24)
+    assert t_colength == colength
+    assert t_mu == mu or (t_mu is None and colength is None)
+
+
+def test_grading_refuses_multi_term_entries_and_degree_conflicts():
+    assert _grading(PresMatrix(1, ((X + Y,), (BiPoly.term(0, 2),)))) is None
+    # rows 0 and 1 meet in two columns: x e_0 + y e_1 puts w_1 at w_0 + (1, -1),
+    # and e_0 + e_1 puts it at w_0
+    one = BiPoly.term(0, 0)
+    assert _grading(PresMatrix(2, ((X, Y), (one, one)))) is None
+    rows, cols, vecs = _grading(PresMatrix(2, ((X, Y), (one, BiPoly.zero()))))
+    assert rows == [(0, 0), (1, -1)] and cols == [(1, 0), (0, 0)]
+    assert vecs == [[(0, 1), (1, 1)], [(0, 1)]]
 
 
 def test_direct_sum(showcase_a):
@@ -236,3 +349,13 @@ def test_complete_with_tight_corner_reproduces_input():
 def test_rank_one_engine_equals_lattice_count_small_box():
     for ideal in ic.enumerate_staircases(6, 6, min_r=1):
         assert ic.colength_module(ic.from_ideal(ideal)) == lattice_colength(ideal)
+
+
+def test_truncation_engine_equals_lattice_count_8x8_box():
+    # acceptance 10 now runs the graded engine; this keeps the truncation
+    # engine's certificate checked on the same box
+    cases = 0
+    for ideal in ic.enumerate_staircases(8, 8, min_r=1):
+        cases += 1
+        assert certified_colength(ic.from_ideal(ideal), DEFAULT_CAP)[0] == lattice_colength(ideal)
+    assert cases == 12869
