@@ -366,29 +366,46 @@ def _column_terms(mat: PresMatrix) -> list[tuple[list[tuple[int, int, int, int]]
 def _truncation(cols, e: int, deg: int) -> tuple[PivotSpan, int]:
     """Span of every monomial multiple of the columns of degree <= deg.
 
-    The positive-degree multiples go in first, then the columns themselves;
-    the second value counts the columns that still raised the rank.
+    Coordinates are numbered degree first: x^a y^b in component k sits at
+    e * tri(t) + k * (t + 1) + b with t = a + b, so the coordinates of degree
+    <= t are a prefix.  The multiples go in by descending shift degree, which
+    fills the top degrees first and lets the span trim them early; the columns
+    themselves go last, and the second value counts the columns that still
+    raised the rank.  Pivots lead at their minimal coordinate, so projected to
+    the prefix of degree <= t this elimination is the one at t.
     """
-    block = tri(deg + 1)
-    span = PivotSpan(e * block)
+    span = PivotSpan(e * tri(deg + 1))
     gained = 0
-    for shifted in (True, False):
+    for d in range(deg, -1, -1):
         for terms, ordj in cols:
-            for d in range(1, deg + 1 - ordj) if shifted else (0,):
-                for alpha in range(d + 1):
-                    row = [(k * block + tri(a + b + d) + b + d - alpha, c)
-                           for k, a, b, c in terms if a + b + d <= deg]
-                    if row and span.add(row) and not shifted:
-                        gained += 1
+            if ordj + d > deg:
+                continue
+            # y^d times the column; x^alpha y^(d - alpha) sits alpha coordinates below it
+            base = [(e * tri(t) + k * (t + 1) + b + d, c)
+                    for k, a, b, c in terms if (t := a + b + d) <= deg]
+            for alpha in range(d + 1):
+                if span.add([(u - alpha, c) for u, c in base]) and not d:
+                    gained += 1
     return span, gained
 
 
-def _tail_certified(span, e: int, deg: int) -> bool:
-    # Nakayama: every basis vector of degree deg lies in the span truncated at deg
-    block = tri(deg + 1)
-    base = tri(deg)
-    return all(span.contains_single(k * block + base + y)
-               for k in range(e) for y in range(deg + 1))
+def _certified_degree(span: PivotSpan, e: int, deg: int) -> int | None:
+    """Smallest degree t <= deg at which the Nakayama certificate holds, or None.
+
+    The certificate at t says that every basis vector of degree t lies in the
+    span truncated at t: read off the elimination at deg, every coordinate of
+    degree t is a pivot lead, counting the trimmed suffix [top, n) as leads.
+    It holds at every degree above one where it holds, so the scan walks down
+    from deg and stops at the first degree where it fails.
+    """
+    leads = span.pivots
+    top = span.top
+    found = None
+    for t in range(deg, -1, -1):
+        if not all(c in leads for c in range(e * tri(t), min(top, e * tri(t + 1)))):
+            break
+        found = t
+    return found
 
 
 def _degrees(cols, cap: int, start: int | None):
@@ -401,13 +418,15 @@ def _degrees(cols, cap: int, start: int | None):
 
 def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None,
                        start: int | None = None) -> tuple[int, int]:
-    """Certified colength and the truncation degree that certified it.
+    """Certified colength and the smallest truncation degree that certifies it.
 
-    Tries the degrees start, start + 2, ... below the cap, and last the cap
-    itself; start defaults to one past the largest entry degree.  Every degree
-    that certifies gives the exact colength, so any nonnegative start is sound.
-    This is the truncation engine, for any matrix; the reduction sampler calls
-    it directly.
+    Builds at the degrees start, start + 2, ... below the cap, and last at the
+    cap itself; start defaults to one past the largest entry degree.  The first
+    build whose elimination certifies some degree returns that build's
+    deficiency with the smallest certifying degree, which may lie below the
+    degree built.  Every degree that certifies gives the exact colength, so any
+    nonnegative start is sound.  This is the truncation engine, for any
+    matrix; the reduction sampler calls it directly.
     """
     cols = _column_terms(mat)
     e = mat.rank
@@ -416,8 +435,9 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
         deficiency = e * tri(deg + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
             raise AbortColength(deficiency)
-        if _tail_certified(span, e, deg):
-            return deficiency, deg
+        certified = _certified_degree(span, e, deg)
+        if certified is not None:
+            return deficiency, certified
     raise NotFiniteColength(f"certificate failed at all truncation degrees up to the cap {cap}")
 
 
@@ -455,7 +475,7 @@ def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     cols = _column_terms(mat)
     for deg in _degrees(cols, cap, None):
         span, gained = _truncation(cols, mat.rank, deg)
-        if gained == mat.ncols or _tail_certified(span, mat.rank, deg):
+        if gained == mat.ncols or _certified_degree(span, mat.rank, deg) is not None:
             return gained
     raise NotFiniteColength(
         f"generator count did not stabilize at truncation degrees up to the cap {cap}"

@@ -104,8 +104,9 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     colength no truncation degree up to the cap certifies still consume a
     trial; the two are counted apart, so a failure can name the cap.  Samples
     provably above the current best abort early; they can never improve the
-    minimum.  The truncation degree that certified one trial seeds the next,
-    since generic samples certify at the same degree.
+    minimum.  The smallest truncation degree that certified one trial is the
+    degree the next trial builds at first, since generic samples certify at
+    the same degree.
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")

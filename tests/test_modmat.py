@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.algebra import BiPoly, X, Y
+from icmod.algebra import BiPoly, PivotSpan, X, Y, tri
 from icmod.modmat import (
     DEFAULT_CAP,
     NonMonomialIdeal,
@@ -11,11 +11,14 @@ from icmod.modmat import (
     NotNormalized,
     PresMatrix,
     RankOutOfRange,
+    _certified_degree,
+    _column_terms,
     _grading,
+    _truncation,
     certified_colength,
 )
 
-from conftest import brute_fitting, brute_minors, lattice_colength, term_dict
+from conftest import brute_fitting, brute_minors, lattice_colength, rank_exact, term_dict
 
 
 def entries_row1(mat):
@@ -164,6 +167,8 @@ def test_truncation_cap_is_itself_tried():
         assert ic.colength_module(pure, cap=cap) == 64
         assert certified_colength(pure, cap) == (64, 15)
     assert certified_colength(pure, 15, start=40) == (64, 15)  # a start above the cap
+    # a build above the smallest certifying degree still reports that degree
+    assert certified_colength(pure, 40, start=20) == (64, 15)
     with pytest.raises(NotFiniteColength):
         certified_colength(pure, 14)
     # a repeated column keeps mu below the column count, so mu needs the certificate too;
@@ -175,6 +180,104 @@ def test_truncation_cap_is_itself_tried():
     # graded input is summed over its degree grid, so the cap does not bind it
     assert ic.colength_module(pure, cap=14) == 64
     assert ic.mu_module(PresMatrix(1, pure.cols + pure.cols[:1]), cap=14) == 2
+
+
+# ---------------------------------------------------------------------------
+# the truncation engine: one elimination read at every lower degree
+# ---------------------------------------------------------------------------
+
+def row_major_truncation(cols, e, deg):
+    """The component-major builder the engine replaced, kept as an oracle.
+
+    Component k owns the coordinates [k * tri(deg + 1), (k + 1) * tri(deg + 1)),
+    and the shifted rows go in by ascending shift degree before the columns.
+    """
+    block = tri(deg + 1)
+    span = PivotSpan(e * block)
+    gained = 0
+    for shifted in (True, False):
+        for terms, ordj in cols:
+            for d in range(1, deg + 1 - ordj) if shifted else (0,):
+                for alpha in range(d + 1):
+                    row = [(k * block + tri(a + b + d) + b + d - alpha, c)
+                           for k, a, b, c in terms if a + b + d <= deg]
+                    if row and span.add(row) and not shifted:
+                        gained += 1
+    return span, gained
+
+
+def read_at(span, e, t):
+    """Deficiency and certificate at degree t, read off an elimination at a degree >= t.
+
+    The coordinates of degree <= t are the prefix [0, e * tri(t + 1)); its rank
+    counts the pivot leads in it, and the trimmed suffix [top, n) counts as leads.
+    """
+    end = e * tri(t + 1)
+    leads = {c for c in span.pivots if c < end} | set(range(span.top, end))
+    return end - len(leads), all(c in leads for c in range(e * tri(t), end))
+
+
+def dense_truncation(mat, t):
+    """Deficiency and certificate at degree t from dense multiples and Bareiss ranks."""
+    coords = {(k, a, t_ - a): None for t_ in range(t + 1) for k in range(mat.rank)
+              for a in range(t_ + 1)}
+    index = {key: i for i, key in enumerate(coords)}
+    rows = []
+    for col in mat.cols:
+        for d in range(t + 1):
+            for alpha in range(d + 1):
+                row = [0] * len(index)
+                for k, entry in enumerate(col):
+                    for mon, c in entry.items():
+                        key = (k, mon.a + alpha, mon.b + d - alpha)
+                        if key in index:
+                            row[index[key]] += c
+                if any(row):
+                    rows.append(row)
+    rank = rank_exact(rows)
+    units = [[int(index[(k, a, t - a)] == i) for i in range(len(index))]
+             for k in range(mat.rank) for a in range(t + 1)]
+    return len(index) - rank, rank_exact(rows + units) == rank
+
+
+@st.composite
+def truncation_matrices(draw):
+    """Multi-term matrices of rank 1-3, made finite-colength by optional pure powers."""
+    e = draw(st.integers(1, 3))
+    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
+    cols = draw(st.lists(column, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        for k in range(e):
+            for a, b in ((draw(st.integers(1, 3)), 0), (0, draw(st.integers(1, 3)))):
+                col = [BiPoly.zero()] * e
+                col[k] = BiPoly.term(a, b) + draw(st.sampled_from((BiPoly.zero(), X * Y)))
+                cols.append(tuple(col))
+    return PresMatrix(e, tuple(cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(truncation_matrices(), st.integers(0, 5))
+def test_truncation_reads_every_lower_degree_off_one_elimination(mat, deg):
+    cols = _column_terms(mat)
+    e = mat.rank
+    span, gained = _truncation(cols, e, deg)
+    old_span, old_gained = row_major_truncation(cols, e, deg)
+    assert (span.rank, gained) == (old_span.rank, old_gained)
+    certifying = []
+    for t in range(deg + 1):
+        fresh, _gained = _truncation(cols, e, t)
+        read = read_at(span, e, t)
+        assert read == (e * tri(t + 1) - fresh.rank, _certified_degree(fresh, e, t) is not None)
+        assert read == dense_truncation(mat, t)
+        if read[1]:
+            certifying.append(t)
+    smallest = certifying[0] if certifying else None
+    assert _certified_degree(span, e, deg) == smallest
+    if smallest is None:
+        with pytest.raises(NotFiniteColength):
+            certified_colength(mat, deg, start=0)
+    else:
+        assert certified_colength(mat, deg, start=0) == (read_at(span, e, deg)[0], smallest)
 
 
 # ---------------------------------------------------------------------------
