@@ -94,52 +94,6 @@ class BiPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for mon, c in other._terms.items():
-            nc = out.get(mon, 0) + c
-            if nc:
-                out[mon] = nc
-            elif mon in out:
-                del out[mon]
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
-
-    def __neg__(self) -> "BiPoly":
-        p = BiPoly.__new__(BiPoly)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return BiPoly.zero()
-            p = BiPoly.__new__(BiPoly)
-            p._terms = {m: c * other for m, c in self._terms.items()}
-            return p
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mon = Monomial(m1.a + m2.a, m1.b + m2.b)
-                nc = out.get(mon, 0) + c1 * c2
-                if nc:
-                    out[mon] = nc
-                elif mon in out:
-                    del out[mon]
-        p = BiPoly.__new__(BiPoly)
-        p._terms = out
-        return p
-
-    __rmul__ = __mul__
-
     def to_triples(self) -> list[list[int]]:
         """Serialize as [a, b, coefficient] triples in canonical order."""
         return [[m.a, m.b, c] for m, c in self.items()]
@@ -186,8 +140,8 @@ class GraphSpan:
     Rows must be single entries (any nonzero coefficient) or pairs of entries
     with equal coefficient magnitude.  Such rows form a signed graph on the
     coordinate set; a component either spans a hyperplane cut out by a +-1
-    potential or the full coordinate subspace.  Rank queries and membership
-    tests are then near-constant time.
+    potential or the full coordinate subspace.  Rank updates are then
+    near-constant time.
     """
 
     __slots__ = ("parent", "sign", "full", "size", "rank")
@@ -255,10 +209,6 @@ class GraphSpan:
         self.size[ru] += self.size[rv]
         if self.full[rv]:
             self.full[ru] = 1
-
-    def contains_single(self, u: int) -> bool:
-        r, _ = self._find(u)
-        return bool(self.full[r])
 
 
 class PivotSpan:
@@ -353,6 +303,7 @@ class PivotSpan:
         self.top = top
         return True
 
+    # no engine calls this; it stays because perfbench/tracer.py wraps it by name
     def contains_single(self, u: int) -> bool:
         if u >= self.top:
             return True

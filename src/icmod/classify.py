@@ -157,7 +157,7 @@ class GapEquality:
     passed: bool
 
 
-def audit_gap_equality(ideal: MonomialIdeal, rank: int, cap: int = DEFAULT_CAP) -> GapEquality:
+def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> GapEquality:
     """Colength gap between the minor ideal and the module, against e(e-1)/2.
 
     Only meaningful when the minor ideal is complete; refuses otherwise.
@@ -166,7 +166,7 @@ def audit_gap_equality(ideal: MonomialIdeal, rank: int, cap: int = DEFAULT_CAP) 
     fit = fitting_ideal(mat, rank)
     if not fit.is_complete():
         raise PreconditionNotMet("minor ideal is not complete")
-    lhs = fit.colength() - colength_module(mat, cap)
+    lhs = fit.colength() - colength_module(mat)
     expected = rank * (rank - 1) // 2
     return GapEquality(lhs=lhs, expected=expected, passed=lhs == expected)
 

@@ -210,7 +210,7 @@ def _cmd_audit(args) -> int:
     if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
         obj = modmat.build_module(obj.normalized(), rank)
     if args.check == "gap-equality":
-        rec = audit_gap_equality(obj, args.rank, cap=args.trunc_cap)
+        rec = audit_gap_equality(obj, args.rank)
         _emit({"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}, args.json)
     elif args.check == "gap-bound":
         rec = audit_gap_bound(obj, cap=args.trunc_cap)
@@ -266,8 +266,7 @@ def _encode_gens(pairs) -> str:
     return ";".join(f"{a}:{b}" for a, b in pairs)
 
 
-def atlas_rows(max_a: int, max_b: int, which: str = "all",
-               cap: int = modmat.DEFAULT_CAP) -> list[AtlasRow]:
+def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[AtlasRow]:
     """Deterministic atlas over all complete normalized staircases in a box."""
     if max_a > ATLAS_MAX_BOUND or max_b > ATLAS_MAX_BOUND:
         raise BoundsTooLarge(f"bounds are capped at {ATLAS_MAX_BOUND}")
@@ -283,7 +282,7 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all",
             diff = None
             if verdict.fitting_complete:
                 mat = modmat.build_module(ideal, e)
-                diff = verdict.fitting.colength() - modmat.colength_module(mat, cap)
+                diff = verdict.fitting.colength() - modmat.colength_module(mat)
             rows.append(
                 AtlasRow(
                     ideal_gens=ideal.to_pairs(),
@@ -302,7 +301,7 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all",
 
 def _cmd_atlas(args) -> int:
     _check_trunc_cap(args)
-    rows = atlas_rows(args.max_a, args.max_b, which=args.filter, cap=args.trunc_cap)
+    rows = atlas_rows(args.max_a, args.max_b, which=args.filter)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

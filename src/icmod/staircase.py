@@ -126,9 +126,6 @@ class MonomialIdeal:
         i = bisect_right(self.gens, b, key=itemgetter(1)) - 1
         return i >= 0 and self.gens[i].a <= a
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def order(self) -> int:
         """Largest n with the ideal inside the n-th power of the maximal ideal."""
         self._require_primary()
@@ -150,11 +147,6 @@ class MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         return canonicalize([g.times(h) for g in self.gens for h in other.gens])
-
-    def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return canonicalize(self.gens + other.gens)
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if n < 1:

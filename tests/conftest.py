@@ -85,21 +85,36 @@ def rectangle_witness(ideal: ic.MonomialIdeal, closure: ic.MonomialIdeal):
     return best
 
 
-def permutation_det(entries) -> ic.BiPoly:
-    """Determinant of a small square matrix of polynomials, by full expansion."""
+def P(*terms) -> ic.BiPoly:
+    """Polynomial from (a, b, coefficient) triples; repeated monomials add up."""
+    return ic.BiPoly(((a, b), c) for a, b, c in terms)
+
+
+def permutation_det(entries) -> dict[tuple[int, int], int]:
+    """Determinant of a small square matrix of polynomials, by full expansion.
+
+    The result is a term dict {(a, b): coefficient} without zero coefficients,
+    the form the minor table stores.
+    """
     n = len(entries)
-    total = ic.BiPoly.zero()
+    total: dict[tuple[int, int], int] = {}
     for perm in permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = ic.BiPoly.term(0, 0)
+        prod = {(0, 0): sign}
         for i in range(n):
-            prod = prod * entries[i][perm[i]]
-        total = total + (prod if sign > 0 else -prod)
-    return total
+            nxt: dict[tuple[int, int], int] = {}
+            for (a, b), c in prod.items():
+                for mon, d in entries[i][perm[i]].items():
+                    key = (a + mon.a, b + mon.b)
+                    nxt[key] = nxt.get(key, 0) + c * d
+            prod = nxt
+        for key, c in prod.items():
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
 
 
 def term_dict(poly: ic.BiPoly) -> dict[tuple[int, int], int]:
@@ -114,7 +129,7 @@ def brute_minors(mat: ic.PresMatrix, t: int) -> dict:
         for cs in combinations(range(mat.ncols), t):
             det = permutation_det([[mat.cols[j][i] for j in cs] for i in rows])
             if det:
-                minors[(rows, sum(1 << j for j in cs))] = term_dict(det)
+                minors[(rows, sum(1 << j for j in cs))] = det
     return minors
 
 

@@ -7,7 +7,7 @@ from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix
 from icmod.multiplicity import ReductionSample, _sampled_minors
 
-from conftest import permutation_det
+from conftest import permutation_det, term_dict
 
 
 def free_times_max_ideal(k):
@@ -88,15 +88,13 @@ def test_sampled_minors_match_permutation_expansion(showcase_a):
     # coeffs[k][j] weights column j of mat in combination k
     coeffs = [[rng.randint(-5, 5) for _ in range(mat.ncols)] for _ in range(4)]
     minors = _sampled_minors(mat, coeffs)
-    # the combined 3x4 polynomial matrix, expanded independently
-    w = [[BiPoly.zero() for _ in range(4)] for _ in range(3)]
-    for k in range(4):
-        for j, col in enumerate(mat.cols):
-            for i in range(3):
-                w[i][k] = w[i][k] + col[i] * coeffs[k][j]
+    # the combined 3x4 polynomial matrix w[i][k] = sum over j of coeffs[k][j] * mat[i][j]
+    # (the constructor adds up repeated monomials), expanded independently
+    w = [[BiPoly((mon, c * w_j) for col, w_j in zip(mat.cols, weights) for mon, c in col[i].items())
+          for weights in coeffs] for i in range(3)]
     for drop in range(4):
         entries = [[w[i][k] for k in range(4) if k != drop] for i in range(3)]
-        assert minors[drop] == permutation_det(entries)
+        assert term_dict(minors[drop]) == permutation_det(entries)
     # a combination that kills a column leaves a degenerate draw
     coeffs[3] = [0] * mat.ncols
     assert _sampled_minors(mat, coeffs) == []

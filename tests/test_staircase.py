@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import icmod as ic
 from icmod.staircase import EmptyGenerators, NotComplete, NotPrimary
 
-from conftest import brute_closure, brute_hull_vertices, lattice_colength
+from conftest import P, brute_closure, brute_hull_vertices, lattice_colength
 
 
 def test_canonicalize_drops_divisible_generators():
@@ -70,7 +70,7 @@ def test_product_and_sum():
     m = ic.maximal_ideal()
     j = ic.canonicalize([(1, 0), (0, 2)])
     assert (m * j).to_pairs() == [[2, 0], [1, 1], [0, 3]]
-    assert (m + j) == m
+    assert ic.canonicalize(m.gens + j.gens) == m
     with pytest.raises(ValueError):
         m ** 0
 
@@ -159,7 +159,7 @@ def test_closure_idempotent_extensive_exhaustive_8x8():
     for ideal in ic.enumerate_staircases(8, 8):
         closed = ideal.integral_closure()
         assert closed.integral_closure() == closed
-        assert closed.contains_ideal(ideal)
+        assert all(closed.contains(g) for g in ideal.gens)
         assert closed.colength() <= ideal.colength()
 
 
@@ -201,14 +201,14 @@ def test_complete_normalization_order_equals_r_and_last_step_one():
 
 def test_colength_of_principal_sum_with_linear_form():
     # cutting by a generic linear form leaves length equal to the order
-    from icmod.algebra import BiPoly, X, Y
+    from icmod.algebra import BiPoly
     from icmod.modmat import PresMatrix, colength_module
 
     rng = random.Random(1)
     ideals = list(ic.enumerate_staircases(5, 5, min_r=1))
     for ideal in rng.sample(ideals, 25):
         cols = [(BiPoly.term(g.a, g.b),) for g in ideal.gens]
-        cols.append((X + Y,))
+        cols.append((P((1, 0, 1), (0, 1, 1)),))
         assert colength_module(PresMatrix(1, tuple(cols))) == ideal.order()
 
 
