@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -58,6 +59,18 @@ def _load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON input: {exc}") from exc
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write to the --out path, or to stdout when none was given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _load_ideal(path: str) -> staircase.MonomialIdeal:
@@ -314,11 +327,7 @@ def _cmd_atlas(args) -> int:
             json.dumps(row.to_json(), separators=(",", ":"), sort_keys=True) + "\n"
             for row in rows
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, text)
     return 0
 
 
@@ -375,11 +384,7 @@ def _cmd_render(args) -> int:
     if not ideal.is_m_primary:
         raise ValueError("rendering needs an m-primary staircase")
     text = render_svg(ideal)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, text)
     return 0
 
 
@@ -402,7 +407,11 @@ def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
                         **({"default": modmat.DEFAULT_CAP} if top else d))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use and kept for the process.  Reuse is safe: each parse
+    fills a fresh namespace, the subcommand copies of the global flags add no
+    defaults, and argparse looks up sys.stdout and sys.stderr when it prints."""
     parser = argparse.ArgumentParser(
         prog="icmod",
         description="Exact workbench for integrally closed modules built from "
@@ -474,8 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BoundsTooLarge as exc:

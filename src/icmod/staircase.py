@@ -171,31 +171,25 @@ class MonomialIdeal:
             chain.append(p)
         return NewtonHull(tuple(chain))
 
-    def _edge_forms(self) -> list[tuple[int, int, int]]:
-        """Inequalities (dq, dp, c): a point (u, v) is over edge i iff dq*u + dp*v >= c."""
-        hull = self.newton_vertices().vertices
-        forms = []
-        for i in range(1, len(hull)):
-            dp = hull[i - 1].a - hull[i].a
-            dq = hull[i].b - hull[i - 1].b
-            c = dq * hull[i - 1].a + dp * hull[i - 1].b
-            forms.append((dq, dp, c))
-        return forms
-
     def integral_closure(self) -> "MonomialIdeal":
-        """Staircase of all lattice points on or above the Newton hull."""
-        self._require_primary()
-        forms = self._edge_forms()
-        b_top = self.gens[-1].b
-        gens = []
-        for b in range(b_top + 1):
-            need = 0
-            for dq, dp, c in forms:
-                rem = c - dp * b
-                if rem > 0:
-                    need = max(need, -(-rem // dq))  # ceiling division
-            gens.append(Monomial(need, b))
-        return canonicalize(gens)
+        """Staircase of all lattice points on or above the Newton hull.
+
+        The hull's lower boundary is convex, so at height b the edge whose
+        y-interval holds b lies above every other edge's line there: one walk
+        over the edges gives the least x-exponent at each height.  A height
+        starts a generator only where that exponent drops.
+        """
+        hull = self.newton_vertices().vertices
+        gens = [hull[0]]
+        for u, v in zip(hull, hull[1:]):
+            # the edge's line is dq*x + dp*y = c
+            dp, dq = u.a - v.a, v.b - u.b
+            c = dq * u.a + dp * u.b
+            for b in range(u.b + 1, v.b + 1):
+                need = -((dp * b - c) // dq)  # ceiling of (c - dp*b) / dq
+                if need < gens[-1].a:
+                    gens.append(Monomial(need, b))
+        return MonomialIdeal(tuple(gens))
 
     def is_complete(self) -> bool:
         """True when the ideal equals its integral closure."""

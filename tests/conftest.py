@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own algorithms: colengths come
 from lattice scans, hull vertices from pairwise domination tests over exact
 fractions, determinants from permutation expansion, and ranks from dense
-fraction-free elimination.
+fraction-free elimination.  The integral closure also has an oracle that is
+fast enough for exponents in the hundreds: the maximum over all edge forms.
 """
 
 from __future__ import annotations
@@ -72,6 +73,30 @@ def brute_closure(ideal: ic.MonomialIdeal) -> ic.MonomialIdeal:
             if in_newton_polyhedron((a, b), pts):
                 members.append((a, b))
     return ic.canonicalize(members)
+
+
+def closure_by_edge_forms(ideal: ic.MonomialIdeal) -> ic.MonomialIdeal:
+    """Integral closure as the maximum over every hull edge's form at each height.
+
+    The hull comes from the library (checked against brute_hull_vertices
+    elsewhere); the closure itself does not assume that the binding edge at a
+    height is the one spanning it.
+    """
+    hull = ideal.newton_vertices().vertices
+    forms = []  # (dq, dp, c): a point (u, v) is over the edge iff dq*u + dp*v >= c
+    for i in range(1, len(hull)):
+        dp = hull[i - 1].a - hull[i].a
+        dq = hull[i].b - hull[i - 1].b
+        forms.append((dq, dp, dq * hull[i - 1].a + dp * hull[i - 1].b))
+    gens = []
+    for b in range(ideal.gens[-1].b + 1):
+        need = 0
+        for dq, dp, c in forms:
+            rem = c - dp * b
+            if rem > 0:
+                need = max(need, -(-rem // dq))  # ceiling division
+        gens.append((need, b))
+    return ic.canonicalize(gens)
 
 
 def rectangle_witness(ideal: ic.MonomialIdeal, closure: ic.MonomialIdeal):

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +99,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["atlas", "--max-a", "4", "--max-b", "-1"]):
         code, out, err = run(capsys, argv)
         assert code == 2 and not out and "at least" in err, argv
+
+    # an --out path that cannot be written is refused like an input that cannot be read
+    unwritable = str(tmp_path / "missing" / "out")
+    for argv in (["render", path, "--out", unwritable],
+                 ["atlas", "--max-a", "2", "--max-b", "2", "--out", unwritable]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out and "cannot write output" in err, argv
+        assert "Traceback" not in err
 
 
 def test_unit_fitting_ideal_is_a_result(tmp_path, capsys):
@@ -427,6 +438,23 @@ def _run_on_stdin(argv, obj):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch, example_reference):
+    # each request runs after one that set a flag, failed in the parser or printed
+    # help; a fresh interpreter is the reference for every reply
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(ic.__file__).resolve().parents[1])}
+    obj = example_reference.to_json()
+    for argv in (["--seed", "5", "mult", "-"], ["mult", "-"],
+                 ["closure", "-", "--json"], ["closure", "-"],
+                 ["--trunc-cap", "x", "length", "-"], ["length", "-"],
+                 ["--help"], ["closure", "--help"]):
+        fresh = subprocess.run([sys.executable, "-m", "icmod.cli", *argv], env=env,
+                               input=json.dumps(obj), capture_output=True, text=True,
+                               timeout=60)
+        assert _run_on_stdin(argv, obj) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
 
 
 @settings(max_examples=200, deadline=None)

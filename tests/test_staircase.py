@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import icmod as ic
 from icmod.staircase import EmptyGenerators, NotComplete, NotPrimary
 
-from conftest import P, brute_closure, brute_hull_vertices, lattice_colength
+from conftest import P, brute_closure, brute_hull_vertices, closure_by_edge_forms, lattice_colength
 
 
 def test_canonicalize_drops_divisible_generators():
@@ -158,9 +159,28 @@ def test_unit_ideal_in_the_library():
 def test_closure_idempotent_extensive_exhaustive_8x8():
     for ideal in ic.enumerate_staircases(8, 8):
         closed = ideal.integral_closure()
+        assert closed == closure_by_edge_forms(ideal)
         assert closed.integral_closure() == closed
         assert all(closed.contains(g) for g in ideal.gens)
         assert closed.colength() <= ideal.colength()
+
+
+def test_closure_matches_all_edge_forms_on_large_staircases():
+    # exponents in the hundreds; scaling by s > 1 puts lattice points inside
+    # every hull edge, where the per-edge ceiling must land exactly on the edge
+    rng = random.Random(11)
+    wide_edges = 0
+    for _ in range(100):
+        s = rng.choice([1, 2, 3, 6])
+        top = 400 // s
+        k = rng.randint(1, top // 3)
+        xs = sorted(rng.sample(range(1, top), k), reverse=True)
+        ys = sorted(rng.sample(range(1, top), k))
+        pts = [(top, 0)] + list(zip(xs, ys)) + [(0, rng.randint(1, top))]
+        ideal = ic.canonicalize([(s * a, s * b) for a, b in pts])
+        assert ideal.integral_closure() == closure_by_edge_forms(ideal)
+        wide_edges += sum(gcd(da, db) > 1 for da, db in ideal.newton_vertices().edges)
+    assert wide_edges > 100
 
 
 def test_closure_matches_brute_polyhedron_scan():
