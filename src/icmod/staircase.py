@@ -174,10 +174,10 @@ class MonomialIdeal:
     def integral_closure(self) -> "MonomialIdeal":
         """Staircase of all lattice points on or above the Newton hull.
 
-        The hull's lower boundary is convex, so at height b the edge whose
-        y-interval holds b lies above every other edge's line there: one walk
-        over the edges gives the least x-exponent at each height.  A height
-        starts a generator only where that exponent drops.
+        The hull's lower boundary is convex, so at height b the line of the
+        edge whose y-interval holds b needs the largest x of all edge lines:
+        one walk over the edges gives the least x-exponent at each height.  A
+        height starts a generator only where that exponent drops.
         """
         hull = self.newton_vertices().vertices
         gens = [hull[0]]

@@ -456,7 +456,6 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch, example_referen
         assert _run_on_stdin(argv, obj) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-
 @settings(max_examples=200, deadline=None)
 @given(_request)
 def test_cli_exit_codes_on_small_malformed_inputs(request):
