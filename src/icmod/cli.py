@@ -26,7 +26,7 @@ from .classify import (
 
 ATLAS_MAX_BOUND = 12
 MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per staircase row
-MAX_RANK = 6  # classify and audit enumerate minors, about 2.5 times as many per rank
+MAX_RANK = 6  # summand audit and matrix input still list minors, about 2.5x as many per rank
 MAX_TRIALS = 100
 MAX_TRUNC_CAP = 80  # a truncation at degree D has about D^2 / 2 coordinates per matrix row
 MAX_COLUMNS = 12  # audits keep a partial minor per column set, length spans every column
@@ -57,7 +57,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
         raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 

@@ -1,11 +1,12 @@
 """Presentation matrices of finite-colength submodules of a free module.
 
 Builds the rank-e module attached to a normalized staircase, computes Fitting
-ideals from exact minors, and measures colengths and minimal generator counts
-with two engines.  A Z^2-graded matrix (every entry a single term, and row
-and column degrees that fit every entry; build_module, from_ideal and
-direct_sum all give one) gets exact sums over the grid of its row and column
-degrees, with no truncation and no cap.  Any other matrix, such as a sampled
+ideals from exact minors (maximal minors of a graded forest by a tree walk),
+and measures colengths and minimal generator counts with two engines.  A
+Z^2-graded matrix (every entry a single term, and row and column degrees
+that fit every entry; build_module, from_ideal and direct_sum all give one)
+gets exact sums over the grid of its row and column degrees, with no
+truncation and no cap.  Any other matrix, such as a sampled
 reduction, gets truncated linear algebra with a Nakayama stopping
 certificate, run by one truncation builder over one degree sequence that ends
 at the cap.  Pure computation throughout; the minor sweep and the spans are
@@ -218,15 +219,106 @@ def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple[tuple[int, ...], i
     return table
 
 
+def _pareto(points) -> list[tuple[int, int]]:
+    """Minimal degree pairs of a collection, by increasing x."""
+    front: list[tuple[int, int]] = []
+    for p in sorted(points):
+        if not front or p[1] < front[-1][1]:
+            front.append(p)
+    return front
+
+
+def _plus(front, other) -> list[tuple[int, int]]:
+    """Every pairwise sum of two degree collections (the Minkowski sum)."""
+    return [(a + c, b + d) for a, b in front for c, d in other]
+
+
+def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
+    """Ideal of maximal minors of a graded forest presentation, or None.
+
+    A graded matrix has maximal minors c_C x^(delta(C) - sum w) for column
+    sets C, with delta(C) the sum of their column degrees, w the row degrees
+    and c_C the determinant of their coefficient vectors.  When every column
+    has one entry (a single of its row) or two (an edge between its rows) and
+    the edges form a forest, C is a basis exactly when each tree of its edges
+    holds one single, whatever the coefficients: a tree of edges spans a
+    hyperplane whose normal has no zero coordinate, so one unit vector leaves
+    it and a second is dependent.  Each tree of the whole forest is rooted and
+    solved bottom-up, keeping at each row v the Pareto-minimal degree sums of
+    its subtree in two states: no_single, v's component has no single yet, and
+    one_single, it has one.  Raises NonMonomialIdeal when every maximal minor
+    vanishes; any other matrix gives None, for the minor table.
+    """
+    graded = _grading(mat)
+    if graded is None:
+        return None
+    row_deg, col_deg, vecs = graded
+    e = mat.rank
+    singles: list[list[tuple[int, int]]] = [[] for _ in range(e)]
+    edges: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(e)]
+    root_of = list(range(e))  # union-find over the rows
+
+    def find(i: int) -> int:
+        while root_of[i] != i:
+            root_of[i] = i = root_of[root_of[i]]
+        return i
+
+    for d, vec in zip(col_deg, vecs):
+        if len(vec) == 1:
+            singles[vec[0][0]].append(d)
+        elif len(vec) == 2:
+            i, k = vec[0][0], vec[1][0]
+            ri, rk = find(i), find(k)
+            if ri == rk:  # a cycle, parallel columns included
+                return None
+            root_of[ri] = rk
+            edges[i].append((k, d))
+            edges[k].append((i, d))
+        else:
+            return None
+    no_single = [[(0, 0)]] * e
+    one_single = [_pareto(s) for s in singles]
+    total = [(0, 0)]
+    for root in range(e):
+        if find(root) != root:  # one union-find root per tree
+            continue
+        order = []  # (row, parent row, degree of the edge to it), parents first
+        stack = [(root, -1, (0, 0))]
+        while stack:
+            v, p, d = stack.pop()
+            order.append((v, p, d))
+            stack += [(u, v, du) for u, du in edges[v] if u != p]
+        for u, v, (dx, dy) in reversed(order[1:]):
+            # the edge to u is cut, so u's component is closed, or kept and merged
+            o_up = [(a + dx, b + dy) for a, b in no_single[u]]
+            k_up = [(a + dx, b + dy) for a, b in one_single[u]]
+            o, k = no_single[v], one_single[v]
+            no_single[v] = _pareto(_plus(o, one_single[u]) + _plus(o, o_up))
+            one_single[v] = _pareto(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
+        total = _pareto(_plus(total, one_single[root]))
+        if not total:
+            raise NonMonomialIdeal(f"no single-term {e}-minors to generate from")
+    wx = sum(w[0] for w in row_deg)
+    wy = sum(w[1] for w in row_deg)
+    return canonicalize([(a - wx, b - wy) for a, b in total])
+
+
 def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     """Certified monomial ideal of t-minors.
 
-    The candidate is generated by the one-term minors (signs dropped), each of
-    which is then divisible by a candidate generator; the certificate checks
-    that every term of every minor with two or more terms is too, in canonical
-    term order.  Refuses with NonMonomialIdeal otherwise, so callers never
-    reason about an uncertified monomial structure.
+    Maximal minors (t the rank) of a graded forest presentation, which
+    build_module, from_ideal and direct_sum give, come from a tree walk over
+    the column matroid (_forest_fitting) with no minor listed.  Otherwise the
+    candidate is generated by the one-term minors of the table (signs
+    dropped), each of which is then divisible by a candidate generator; the
+    certificate checks that every term of every minor with two or more terms
+    is too, in canonical term order.  Refuses with NonMonomialIdeal otherwise,
+    so callers never reason about an uncertified monomial structure.
     """
+    if t == mat.rank > 0:
+        forest = _forest_fitting(mat)
+        if forest is not None:
+            return forest
     dets = signed_minor_table(mat, t).values()
     singles = [mon for det in dets if len(det) == 1 for mon in det]
     if not singles:

@@ -50,6 +50,12 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     code, _out, err = run(capsys, ["closure", str(bad)])
     assert code == 2 and err
 
+    # nesting too deep for the decoder is unreadable input, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    code, out, err = run(capsys, ["closure", str(deep)])
+    assert code == 2 and not out and "cannot read JSON input" in err
+
     notideal = tmp_path / "notideal.json"
     notideal.write_text(json.dumps({"gens": [[1, 0], [0, "q"]]}))
     code, _out, err = run(capsys, ["closure", str(notideal)])
@@ -409,6 +415,15 @@ _ideal_verbs = [["closure"], ["factor"], ["classify"], ["classify", "--rank", "x
                 ["audit", "--check", "summand", "--rank", "2"]]
 _matrix_verbs = [["length"], ["mult"], ["mult", "--route", "area"],
                  ["audit", "--check", "gap-bound"], ["audit", "--check", "summand"]]
+
+
+class _Raw(str):
+    """Stdin text sent as it is, not JSON-encoded."""
+
+
+# arrays nested deeper than the decoder's recursion limit, closed or not
+_deep_json = st.tuples(st.sampled_from([2000, 200000]), st.booleans()).map(
+    lambda nb: _Raw("[" * nb[0] + "]" * nb[0] * nb[1]))
 # a flag value out of range stops the parser, so most values are in range
 _flags = st.tuples(
     st.sampled_from(["24"] * 6 + ["2", "8", "1", "-1", "x"]),  # --trunc-cap
@@ -418,6 +433,7 @@ _flags = st.tuples(
 _request = st.one_of(
     st.tuples(st.sampled_from(_ideal_verbs), _ideal_json, _flags),
     st.tuples(st.sampled_from(_matrix_verbs), _matrix_json, _flags),
+    st.tuples(st.sampled_from(_ideal_verbs + _matrix_verbs), _deep_json, _flags),
     st.tuples(st.tuples(st.just("atlas"),
                         st.sampled_from(["--max-a", "--max-b"]),
                         st.sampled_from(["-1", "0", "2", "x", "13"])).map(list),
@@ -428,7 +444,7 @@ _request = st.one_of(
 def _run_on_stdin(argv, obj):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(json.dumps(obj))
+    sys.stdin = io.StringIO(obj if isinstance(obj, _Raw) else json.dumps(obj))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

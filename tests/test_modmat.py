@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import icmod as ic
+from icmod import modmat
 from icmod.algebra import BiPoly, PivotSpan, X, Y, tri
 from icmod.modmat import (
     DEFAULT_CAP,
@@ -13,6 +14,7 @@ from icmod.modmat import (
     RankOutOfRange,
     _certified_degree,
     _column_terms,
+    _forest_fitting,
     _grading,
     _truncation,
     certified_colength,
@@ -126,6 +128,121 @@ def test_fitting_ideal_refuses_non_monomial():
     mixed = PresMatrix(1, ((P((1, 0, 1), (0, 1, 1)),), (BiPoly.term(0, 2),)))
     with pytest.raises(NonMonomialIdeal):
         ic.fitting_ideal(mixed, 1)
+
+
+def table_fitting(mat):
+    """Maximal-minor ideal from the minor table; None when every maximal minor vanishes."""
+    dets = ic.signed_minor_table(mat, mat.rank).values()
+    # every minor of a graded matrix is a single term
+    assert all(len(det) == 1 for det in dets)
+    return ic.canonicalize([mon for det in dets for mon in det]) if dets else None
+
+
+def forest_fitting(mat):
+    """The tree walk's ideal; None when it refuses because every maximal minor vanishes."""
+    try:
+        ideal = _forest_fitting(mat)
+    except NonMonomialIdeal:
+        return None
+    assert ideal is not None, "a graded forest must not fall back to the table"
+    return ideal
+
+
+def test_forest_fitting_matches_minor_table_on_box_slice():
+    for ideal, e in _box_slice():
+        mat = ic.build_module(ideal, e)
+        assert forest_fitting(mat) == table_fitting(mat), (ideal.to_pairs(), e)
+
+
+def test_forest_fitting_matches_minor_table_on_sums(showcase_a, showcase_b, remark_counterexample):
+    parts = [ic.from_ideal(showcase_a), ic.from_ideal(ic.maximal_ideal_power(3)),
+             ic.build_module(showcase_a, 3), ic.build_module(showcase_b, 2),
+             ic.build_module(remark_counterexample, 4)]
+    for first in parts:
+        assert forest_fitting(first) == table_fitting(first)
+        for second in parts:
+            both = ic.direct_sum(first, second)
+            if both.rank <= 6:
+                assert forest_fitting(both) == table_fitting(both)
+            # top minors of a block sum multiply
+            assert forest_fitting(both) == forest_fitting(first) * forest_fitting(second)
+
+
+@st.composite
+def graded_forests(draw):
+    """Graded matrices whose two-entry columns form a forest on the rows.
+
+    Coefficients are nonzero integers of unequal magnitudes and either sign.
+    A row may hold several one-entry columns or none, a tree may have no
+    one-entry column, and the columns may be fewer than the rows.
+    """
+    e = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         min_size=e, max_size=e))
+    coefficients = st.integers(-7, 100).filter(bool)
+
+    def column(used):
+        dx = max(rows[i][0] for i in used) + draw(st.integers(0, 2))
+        dy = max(rows[i][1] for i in used) + draw(st.integers(0, 2))
+        col = [BiPoly.zero()] * e
+        for i in used:
+            col[i] = BiPoly.term(dx - rows[i][0], dy - rows[i][1], draw(coefficients))
+        return tuple(col)
+
+    # joining each row to at most one earlier row keeps the edges a forest
+    cols = [column([draw(st.integers(0, k - 1)), k])
+            for k in range(1, e) if draw(st.booleans())]
+    singles = draw(st.integers(0, 2 * e + 1))
+    cols += [column([draw(st.integers(0, e - 1))]) for _ in range(singles)]
+    return PresMatrix(e, tuple(draw(st.permutations(cols))))
+
+
+@seed(2021)
+@settings(max_examples=300, deadline=None)
+@given(graded_forests())
+def test_forest_fitting_matches_minor_table_on_random_forests(mat):
+    assert forest_fitting(mat) == table_fitting(mat)
+
+
+def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showcase_a):
+    calls = []
+    table = modmat.signed_minor_table
+    monkeypatch.setattr(modmat, "signed_minor_table",
+                        lambda mat, t: calls.append(t) or table(mat, t))
+    one, zero = BiPoly.term(0, 0), BiPoly.zero()
+    x2, y2 = BiPoly.term(2, 0), BiPoly.term(0, 2)
+    module = ic.build_module(showcase_a, 4)
+    cycle = PresMatrix(3, ((X, X, zero), (zero, X, X), (X, zero, X), (y2, zero, zero)))
+    parallel = PresMatrix(2, ((X, X), (Y, Y), (x2, zero), (zero, y2)))
+    three = PresMatrix(3, ((X, X, X), (Y, zero, zero), (zero, Y, zero), (zero, zero, Y)))
+    ungraded = PresMatrix(2, ((X, Y), (one, one), (y2, zero)))
+    multi_term = PresMatrix(2, ((P((1, 0, 1), (0, 1, 1)), zero), (zero, X), (Y, zero)))
+    for mat in (cycle, parallel, three, ungraded, multi_term):
+        assert _forest_fitting(mat) is None
+        try:
+            ic.fitting_ideal(mat, mat.rank)
+        except NonMonomialIdeal:  # the table's certificate may refuse; it was still asked
+            pass
+        assert calls == [mat.rank]
+        calls.clear()
+    assert ic.fitting_ideal(module, 3) == ic.maximal_ideal_power(3)
+    assert calls == [3]
+    calls.clear()
+    assert ic.fitting_ideal(module, 4) == showcase_a
+    assert calls == []
+
+
+def test_forest_fitting_refuses_when_every_maximal_minor_vanishes():
+    zero = BiPoly.zero()
+    path = PresMatrix(3, ((X, Y, zero), (zero, X, Y)))  # fewer columns than rows
+    bare_tree = PresMatrix(3, ((X, zero, zero), (Y, zero, zero), (BiPoly.term(1, 1), zero, zero),
+                               (zero, X, Y)))  # the tree on rows 1 and 2 has no one-entry column
+    for mat in (path, bare_tree):
+        assert table_fitting(mat) is None
+        with pytest.raises(NonMonomialIdeal, match="no single-term 3-minors"):
+            _forest_fitting(mat)
+        with pytest.raises(NonMonomialIdeal):
+            ic.fitting_ideal(mat, 3)
 
 
 def test_closed_form_examples(showcase_a, remark_counterexample):
@@ -322,11 +439,15 @@ def graded_values(mat):
     return colength, ic.mu_module(mat)
 
 
-def test_graded_engine_matches_truncation_on_box_slice():
+def _box_slice():
     # every 20th (staircase, rank) pair of the 9x9 box
     pairs = [pair for k, pair in enumerate(_sweep_pairs(9)) if k % 20 == 0]
     assert len(pairs) == 5932
-    for ideal, e in pairs:
+    return pairs
+
+
+def test_graded_engine_matches_truncation_on_box_slice():
+    for ideal, e in _box_slice():
         mat = ic.build_module(ideal, e)
         assert graded_values(mat) == truncation_values(mat, DEFAULT_CAP), (ideal.to_pairs(), e)
 
