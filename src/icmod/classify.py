@@ -83,18 +83,11 @@ def top_rank_hypotheses(ideal: MonomialIdeal, r: int) -> bool:
 
 
 def _smallest_witness(fit: MonomialIdeal, closure: MonomialIdeal) -> Monomial:
-    # In each row the least witness starts the closure's row, and closure rows
-    # change start only at closure generators; so the witness is the least
-    # (degree, b) closure generator x^a y^b with a below the ideal's row start,
-    # the x-exponent of the last ideal generator at or below b.
-    witnesses = []
-    i = 0
-    for g in closure.gens:
-        while i + 1 < len(fit.gens) and fit.gens[i + 1].b <= g.b:
-            i += 1
-        if g.a < fit.gens[i].a:
-            witnesses.append(g)
-    return min(witnesses, key=lambda m: (m.degree, m.b))
+    # The least witness is a closure generator (closure rows change start only
+    # there), and a closure generator inside the ideal is an ideal generator,
+    # since the ideal generator dividing it lies in the closure.
+    gens = set(fit.gens)
+    return min((g for g in closure.gens if g not in gens), key=lambda m: (m.degree, m.b))
 
 
 def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
@@ -206,12 +199,12 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
     x^(r-1)y outside; part1 picks a proper nonempty subset of the expanded
     factor list and the complement forms the second block.
     """
-    if not ideal.is_m_primary or not ideal.is_complete():
+    if not ideal.is_m_primary:
         raise HypothesisViolated("ideal must be m-primary and complete")
     try:
         factors = ideal.zariski_factor().expand()
-    except NotComplete as exc:  # pragma: no cover - guarded above
-        raise HypothesisViolated(str(exc)) from exc
+    except NotComplete as exc:
+        raise HypothesisViolated("ideal must be m-primary and complete") from exc
     if len(factors) < 2:
         raise HypothesisViolated("ideal is simple; no proper split exists")
     r = ideal.order()

@@ -118,8 +118,8 @@ def _cmd_closure(args) -> int:
     _check_size(ideal)
     if not ideal.is_m_primary:
         raise ValueError("closure needs an m-primary staircase")
-    closed = ideal.integral_closure()
-    hull = closed.newton_vertices()
+    hull = ideal.newton_vertices()  # an ideal and its closure share their hull
+    closed = hull.closure()
     _emit(
         {
             "gens": closed.to_pairs(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
-from .staircase import MonomialIdeal, NotPrimary, canonicalize
+from .staircase import MonomialIdeal, NotPrimary, canonicalize, minimal_pairs
 
 DEFAULT_CAP = 64  # largest truncation degree the Nakayama certificates try by default
 
@@ -163,10 +163,6 @@ def from_ideal(ideal: MonomialIdeal) -> PresMatrix:
 
 def direct_sum(p1: PresMatrix, p2: PresMatrix) -> PresMatrix:
     """Block-diagonal sum; colengths add and top minors multiply."""
-    if p2.rank == 0:
-        return p1
-    if p1.rank == 0:
-        return p2
     zero = BiPoly.zero()
     top = [tuple(col) + (zero,) * p2.rank for col in p1.cols]
     bot = [(zero,) * p1.rank + tuple(col) for col in p2.cols]
@@ -219,15 +215,6 @@ def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple[tuple[int, ...], i
     return table
 
 
-def _pareto(points) -> list[tuple[int, int]]:
-    """Minimal degree pairs of a collection, by increasing x."""
-    front: list[tuple[int, int]] = []
-    for p in sorted(points):
-        if not front or p[1] < front[-1][1]:
-            front.append(p)
-    return front
-
-
 def _plus(front, other) -> list[tuple[int, int]]:
     """Every pairwise sum of two degree collections (the Minkowski sum)."""
     return [(a + c, b + d) for a, b in front for c, d in other]
@@ -243,11 +230,12 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
     the edges form a forest, C is a basis exactly when each tree of its edges
     holds one single, whatever the coefficients: a tree of edges spans a
     hyperplane whose normal has no zero coordinate, so one unit vector leaves
-    it and a second is dependent.  Each tree of the whole forest is rooted and
-    solved bottom-up, keeping at each row v the Pareto-minimal degree sums of
-    its subtree in two states: no_single, v's component has no single yet, and
-    one_single, it has one.  Raises NonMonomialIdeal when every maximal minor
-    vanishes; any other matrix gives None, for the minor table.
+    it and a second is dependent.  One walk per tree roots it and finds
+    cycles; only after every tree is walked is each solved bottom-up, keeping
+    at each row v the Pareto-minimal degree sums of its subtree in two states:
+    no_single, v's component has no single yet, and one_single, it has one.
+    Raises NonMonomialIdeal when every maximal minor vanishes; any other
+    matrix gives None, for the minor table.
     """
     graded = _grading(mat)
     if graded is None:
@@ -255,47 +243,43 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
     row_deg, col_deg, vecs = graded
     e = mat.rank
     singles: list[list[tuple[int, int]]] = [[] for _ in range(e)]
-    edges: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(e)]
-    root_of = list(range(e))  # union-find over the rows
-
-    def find(i: int) -> int:
-        while root_of[i] != i:
-            root_of[i] = i = root_of[root_of[i]]
-        return i
-
-    for d, vec in zip(col_deg, vecs):
+    edges: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in range(e)]
+    for j, (d, vec) in enumerate(zip(col_deg, vecs)):
         if len(vec) == 1:
             singles[vec[0][0]].append(d)
         elif len(vec) == 2:
             i, k = vec[0][0], vec[1][0]
-            ri, rk = find(i), find(k)
-            if ri == rk:  # a cycle, parallel columns included
-                return None
-            root_of[ri] = rk
-            edges[i].append((k, d))
-            edges[k].append((i, d))
+            edges[i].append((k, j, d))
+            edges[k].append((i, j, d))
         else:
             return None
-    no_single = [[(0, 0)]] * e
-    one_single = [_pareto(s) for s in singles]
-    total = [(0, 0)]
+    trees = []  # per tree: (row, parent row, degree of the edge to it), parents first
+    seen = [False] * e
     for root in range(e):
-        if find(root) != root:  # one union-find root per tree
+        if seen[root]:
             continue
-        order = []  # (row, parent row, degree of the edge to it), parents first
-        stack = [(root, -1, (0, 0))]
+        order = []
+        stack = [(root, -1, -1, (0, 0))]
         while stack:
-            v, p, d = stack.pop()
+            v, p, via, d = stack.pop()
+            if seen[v]:  # reached twice: a cycle, parallel columns included
+                return None
+            seen[v] = True
             order.append((v, p, d))
-            stack += [(u, v, du) for u, du in edges[v] if u != p]
+            stack += [(u, v, j, du) for u, j, du in edges[v] if j != via]  # not the way in
+        trees.append(order)
+    no_single = [[(0, 0)]] * e
+    one_single = [minimal_pairs(s) for s in singles]
+    total = [(0, 0)]
+    for order in trees:
         for u, v, (dx, dy) in reversed(order[1:]):
             # the edge to u is cut, so u's component is closed, or kept and merged
             o_up = [(a + dx, b + dy) for a, b in no_single[u]]
             k_up = [(a + dx, b + dy) for a, b in one_single[u]]
             o, k = no_single[v], one_single[v]
-            no_single[v] = _pareto(_plus(o, one_single[u]) + _plus(o, o_up))
-            one_single[v] = _pareto(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
-        total = _pareto(_plus(total, one_single[root]))
+            no_single[v] = minimal_pairs(_plus(o, one_single[u]) + _plus(o, o_up))
+            one_single[v] = minimal_pairs(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
+        total = minimal_pairs(_plus(total, one_single[order[0][0]]))
         if not total:
             raise NonMonomialIdeal(f"no single-term {e}-minors to generate from")
     wx = sum(w[0] for w in row_deg)

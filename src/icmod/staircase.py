@@ -31,12 +31,14 @@ class NotComplete(ValueError):
     """Operation requires an integrally closed ideal."""
 
 
-def _minimalize(points: list[Monomial]) -> list[Monomial]:
-    # in (a, b) order a point is minimal iff its b is below every earlier b;
-    # the kept points then have a increasing and b strictly decreasing
-    keep: list[Monomial] = []
+def minimal_pairs(points: Iterable) -> list:
+    """Pareto front of (a, b) pairs, Monomials or int tuples, x-exponent decreasing.
+
+    In (a, b) order a point is minimal iff its b is below every earlier b.
+    """
+    keep: list = []
     for p in sorted(points):
-        if not keep or p.b < keep[-1].b:
+        if not keep or p[1] < keep[-1][1]:
             keep.append(p)
     return keep[::-1]
 
@@ -51,7 +53,7 @@ def canonicalize(points: Iterable) -> "MonomialIdeal":
         pts.append(Monomial(a, b))
     if not pts:
         raise EmptyGenerators("a monomial ideal needs at least one generator")
-    return MonomialIdeal(tuple(_minimalize(pts)))
+    return MonomialIdeal(tuple(minimal_pairs(pts)))
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,26 @@ class NewtonHull:
         """Edge steps (da, db) with da = drop in x and db = rise in y."""
         v = self.vertices
         return [(v[i - 1].a - v[i].a, v[i].b - v[i - 1].b) for i in range(1, len(v))]
+
+    def closure(self) -> "MonomialIdeal":
+        """Integral closure of any ideal with this hull: the points on or above it.
+
+        The hull's lower boundary is convex, so at height b the line of the
+        edge whose y-interval holds b needs the largest x of all edge lines:
+        one walk over the edges gives the least x-exponent at each height.  A
+        height starts a generator only where that exponent drops.
+        """
+        hull = self.vertices
+        gens = [hull[0]]
+        for u, v in zip(hull, hull[1:]):
+            # the edge's line is dq*x + dp*y = c
+            dp, dq = u.a - v.a, v.b - u.b
+            c = dq * u.a + dp * u.b
+            for b in range(u.b + 1, v.b + 1):
+                need = -((dp * b - c) // dq)  # ceiling of (c - dp*b) / dq
+                if need < gens[-1].a:
+                    gens.append(Monomial(need, b))
+        return MonomialIdeal(tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -172,24 +194,8 @@ class MonomialIdeal:
         return NewtonHull(tuple(chain))
 
     def integral_closure(self) -> "MonomialIdeal":
-        """Staircase of all lattice points on or above the Newton hull.
-
-        The hull's lower boundary is convex, so at height b the line of the
-        edge whose y-interval holds b needs the largest x of all edge lines:
-        one walk over the edges gives the least x-exponent at each height.  A
-        height starts a generator only where that exponent drops.
-        """
-        hull = self.newton_vertices().vertices
-        gens = [hull[0]]
-        for u, v in zip(hull, hull[1:]):
-            # the edge's line is dq*x + dp*y = c
-            dp, dq = u.a - v.a, v.b - u.b
-            c = dq * u.a + dp * u.b
-            for b in range(u.b + 1, v.b + 1):
-                need = -((dp * b - c) // dq)  # ceiling of (c - dp*b) / dq
-                if need < gens[-1].a:
-                    gens.append(Monomial(need, b))
-        return MonomialIdeal(tuple(gens))
+        """Staircase of all lattice points on or above the Newton hull."""
+        return self.newton_vertices().closure()
 
     def is_complete(self) -> bool:
         """True when the ideal equals its integral closure."""
@@ -200,20 +206,22 @@ class MonomialIdeal:
         return self.mu() == self.order() + 1
 
     def zariski_factor(self) -> SimpleFactorization:
-        """Unique factorization into coprime closure blocks, one per hull edge."""
-        if not self.is_complete():
+        """Coprime closure blocks, one per edge of the hull whose closure must equal the ideal."""
+        hull = self.newton_vertices()
+        if self != hull.closure():
             raise NotComplete("factorization is defined for complete ideals only")
         factors = []
-        for da, db in self.newton_vertices().edges:
+        for da, db in hull.edges:
             d = gcd(da, db)
             factors.append((da // d, db // d, d))
         return SimpleFactorization(tuple(factors))
 
     def is_simple(self) -> bool:
         """Complete and not a product of two proper ideals."""
-        if not self.is_complete():
+        try:
+            f = self.zariski_factor().factors
+        except NotComplete:
             return False
-        f = self.zariski_factor().factors
         return len(f) == 1 and f[0][2] == 1
 
     def swap_axes(self) -> "MonomialIdeal":
@@ -295,13 +303,13 @@ def enumerate_staircases(max_a: int, max_b: int, min_r: int = 1,
 
 def enumerate_complete_staircases(max_a: int, max_b: int, min_r: int = 1,
                                   star_only: bool = False) -> list[MonomialIdeal]:
-    """All complete staircases in the box, via strictly convex hull chains."""
+    """All complete staircases in the box: closures of strictly convex hull chains."""
     ideals: list[MonomialIdeal] = []
 
     def extend(vertices: list[Monomial], last: tuple[int, int] | None) -> None:
         pa, pb = vertices[-1]
         if pa == 0:
-            ideal = canonicalize(vertices).integral_closure()
+            ideal = NewtonHull(tuple(vertices)).closure()
             if ideal.r >= min_r and (not star_only or ideal.is_normalized):
                 ideals.append(ideal)
             return

@@ -216,6 +216,20 @@ def test_factor_command(tmp_path, capsys, example_reference):
     assert code == 2
 
 
+def test_closure_and_factor_requests_build_one_hull(tmp_path, capsys, monkeypatch,
+                                                    example_reference):
+    # an ideal and its closure share their hull, so neither verb needs a second one
+    calls = []
+    hull = ic.MonomialIdeal.newton_vertices
+    monkeypatch.setattr(ic.MonomialIdeal, "newton_vertices",
+                        lambda self: calls.append(self) or hull(self))
+    path = write_ideal(tmp_path, example_reference)
+    for verb in ("closure", "factor"):
+        code, _out, _err = run(capsys, [verb, path])
+        assert code == 0 and len(calls) == 1, verb
+        calls.clear()
+
+
 def test_classify_command_all_ranks(tmp_path, capsys, showcase_a, showcase_b):
     path = write_ideal(tmp_path, showcase_a)
     code, out, _ = run(capsys, ["classify", path, "--rank", "all"])

@@ -217,7 +217,11 @@ def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showc
     three = PresMatrix(3, ((X, X, X), (Y, zero, zero), (zero, Y, zero), (zero, zero, Y)))
     ungraded = PresMatrix(2, ((X, Y), (one, one), (y2, zero)))
     multi_term = PresMatrix(2, ((P((1, 0, 1), (0, 1, 1)), zero), (zero, X), (Y, zero)))
-    for mat in (cycle, parallel, three, ungraded, multi_term):
+    # a tree with no single on rows 0-1 comes before a cycle on rows 2-4: every
+    # tree is walked before any is solved, so the cycle still sends it to the table
+    bare_then_cycle = PresMatrix(5, ((X, X, zero, zero, zero), (zero, zero, X, X, zero),
+                                     (zero, zero, zero, X, X), (zero, zero, X, zero, X)))
+    for mat in (cycle, parallel, three, ungraded, multi_term, bare_then_cycle):
         assert _forest_fitting(mat) is None
         try:
             ic.fitting_ideal(mat, mat.rank)

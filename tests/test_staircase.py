@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.staircase import EmptyGenerators, NotComplete, NotPrimary
+from icmod.staircase import EmptyGenerators, NotComplete, NotPrimary, minimal_pairs
 
 from conftest import P, brute_closure, brute_hull_vertices, closure_by_edge_forms, lattice_colength
 
@@ -160,6 +160,7 @@ def test_closure_idempotent_extensive_exhaustive_8x8():
     for ideal in ic.enumerate_staircases(8, 8):
         closed = ideal.integral_closure()
         assert closed == closure_by_edge_forms(ideal)
+        assert closed.newton_vertices() == ideal.newton_vertices()
         assert closed.integral_closure() == closed
         assert all(closed.contains(g) for g in ideal.gens)
         assert closed.colength() <= ideal.colength()
@@ -242,6 +243,9 @@ def test_canonicalize_minimality_property(points):
                 assert not (g.a <= h.a and g.b <= h.b)
     assert all(gens[i].a > gens[i + 1].a for i in range(len(gens) - 1))
     assert all(gens[i].b < gens[i + 1].b for i in range(len(gens) - 1))
+    # the shared Pareto front takes plain int pairs too and returns them as given
+    front = minimal_pairs(points)
+    assert front == list(gens) and all(type(p) is tuple for p in front)
 
 
 def test_enumerate_complete_matches_filter():
