@@ -74,6 +74,8 @@ class BiPoly:
 
     def items(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order (degree-lex, x before y, descending)."""
+        if len(self._terms) < 2:  # most entries of a built module are single terms
+            return list(self._terms.items())
         return sorted(self._terms.items(), key=_term_key)
 
     def __bool__(self) -> bool:

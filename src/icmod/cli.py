@@ -106,11 +106,36 @@ def _check_trunc_cap(args) -> None:
         raise BoundsTooLarge(f"--trunc-cap is capped at {MAX_TRUNC_CAP}")
 
 
+def _indented(obj, pad: str = "") -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) for str-keyed obj.
+
+    The stdlib serves indent only from its pure-Python encoder, one generator
+    step per element.  Here an int is written by str, which gives the C
+    encoder's digits, every other scalar and every key by the C encoder, and
+    each container by one join.
+    """
+    if type(obj) is int:  # type, not isinstance: str(True) is not JSON
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [_indented(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(obj)
+
+
 def _emit(obj, compact: bool) -> None:
     if compact:
         print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(_indented(obj))
 
 
 def _cmd_closure(args) -> int:

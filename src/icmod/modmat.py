@@ -86,9 +86,18 @@ class PresMatrix:
         }
 
 
-def _is_term(term) -> bool:
-    return (isinstance(term, list) and len(term) == 3
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in term))
+def _is_entry(entry) -> bool:
+    """True when a wire-format matrix entry is a list of [a, b, c] integer triples."""
+    if not isinstance(entry, list):
+        return False
+    for term in entry:
+        if not isinstance(term, list) or len(term) != 3:
+            return False
+        a, b, c = term
+        if type(a) is bool or type(b) is bool or type(c) is bool or not (
+                isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+            return False
+    return True
 
 
 def matrix_from_json(obj) -> PresMatrix:
@@ -104,7 +113,7 @@ def matrix_from_json(obj) -> PresMatrix:
         if not isinstance(col, list) or len(col) != rank:
             raise ValueError("each column must list one entry per row")
         for entry in col:
-            if not isinstance(entry, list) or not all(map(_is_term, entry)):
+            if not _is_entry(entry):
                 raise ValueError(f"entry {entry!r} is not a list of [a, b, c] integer triples")
         cols.append(tuple(BiPoly.from_triples(entry) for entry in col))
     return PresMatrix(rank, tuple(cols))

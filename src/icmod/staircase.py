@@ -252,14 +252,13 @@ def from_json(obj) -> MonomialIdeal:
     gens = obj["gens"]
     if not isinstance(gens, list):
         raise ValueError('"gens" must be a list of [a, b] pairs')
-    pairs = []
     for g in gens:
         if not isinstance(g, (list, tuple)) or len(g) != 2:
             raise ValueError(f"bad generator entry {g!r}")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in g):
+        a, b = g
+        if type(a) is bool or type(b) is bool or not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError(f"generator exponents must be integers, got {g!r}")
-        pairs.append(g)
-    ideal = canonicalize(pairs)
+    ideal = canonicalize(gens)
     if ideal.gens == (Monomial(0, 0),):
         # the unit ideal passes is_m_primary (it touches both axes) but is not proper
         raise NotPrimary("the unit ideal is not a proper ideal, so it is not m-primary")

@@ -7,12 +7,13 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, atlas_rows,
-                       main, render_svg)
+from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, _emit,
+                       atlas_rows, main, render_svg)
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -230,6 +231,99 @@ def test_closure_and_factor_requests_build_one_hull(tmp_path, capsys, monkeypatc
         calls.clear()
 
 
+def test_indented_replies_never_reach_the_pure_python_encoder(tmp_path, capsys, monkeypatch,
+                                                              showcase_a):
+    # the stdlib writes indent=2 one element at a time in Python; no verb may reach it
+    path = write_ideal(tmp_path, showcase_a)
+    matpath = tmp_path / "mat.json"
+    matpath.write_text(json.dumps(ic.build_module(showcase_a, 4).to_json()))
+    requests = [["closure", path], ["factor", path], ["construct", path, "--rank", "4"],
+                ["length", path], ["length", str(matpath)], ["mult", path],
+                ["audit", path, "--check", "gap-equality", "--rank", "4"],
+                ["classify", path, "--rank", "3"]]
+    expected = []
+    for argv in requests:
+        code, out, _err = run(capsys, argv + ["--json"])
+        assert code == 0, argv
+        expected.append(json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n")
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the pure-Python JSON encoder was reached")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for argv, text in zip(requests, expected):
+        assert run(capsys, argv) == (0, text, ""), argv
+
+
+# keys and strings with non-ASCII text and characters JSON must escape
+_json_text = st.one_of(st.text(),
+                       st.text(st.sampled_from('a\u00e9\u20ac\U0001f600"\\/\n\t\x00\x7f')))
+_json_scalar = st.one_of(st.none(), st.booleans(), st.integers(-(10**300), 10**300),
+                         st.floats(), _json_text)
+_json_value = st.recursive(
+    _json_scalar,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(_json_text, inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_value)
+def test_indented_output_is_the_stdlib_rendering(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(obj, False)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# malformed wire input and the exact refusal, in the order the parsers check it
+_PARSE_ERRORS = [
+    (ic.from_json, {"gens": [[True, 0], [0, 1]]},
+     "generator exponents must be integers, got [True, 0]"),
+    (ic.from_json, {"gens": [[2, 0], [0, False]]},
+     "generator exponents must be integers, got [0, False]"),
+    (ic.from_json, {"gens": [[1, 2, 3], [0, 1]]}, "bad generator entry [1, 2, 3]"),
+    (ic.from_json, {"gens": [[1, 0], 5]}, "bad generator entry 5"),
+    (ic.from_json, {"gens": [["2", 0], [0, 1]]},
+     "generator exponents must be integers, got ['2', 0]"),
+    (ic.from_json, {"gens": [[2.0, 0], [0, 1]]},
+     "generator exponents must be integers, got [2.0, 0]"),
+    (ic.from_json, {"gens": {"a": 1}}, '"gens" must be a list of [a, b] pairs'),
+    (ic.from_json, {"gens": "[[1, 0]]"}, '"gens" must be a list of [a, b] pairs'),
+    (ic.from_json, {"gens": [[1, 2, 3], [True, 0]]}, "bad generator entry [1, 2, 3]"),
+    (ic.from_json, {"gens": [[-1, 0], ["a", 0]]},
+     "generator exponents must be integers, got ['a', 0]"),
+    (ic.from_json, {"gens": [[-1, 0], [0, 2]]}, "negative exponent in generator (-1, 0)"),
+    (ic.from_json, {"gens": []}, "a monomial ideal needs at least one generator"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[[1, 0, True]]]]},
+     "entry [[1, 0, True]] is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[[1, 0]]]]},
+     "entry [[1, 0]] is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[5]]},
+     "entry 5 is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[[1, 0, 2.5]]]]},
+     "entry [[1, 0, 2.5]] is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[(1, 0, 1)]]]},
+     "entry [(1, 0, 1)] is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[[1, 0, 1], [0, 1]]]]},
+     "entry [[1, 0, 1], [0, 1]] is not a list of [a, b, c] integer triples"),
+    # a column's entries are all checked before any is built, columns in order
+    (ic.matrix_from_json, {"rank": 2, "cols": [[[[-1, 0, 1]], [[1, 0, "c"]]]]},
+     "entry [[1, 0, 'c']] is not a list of [a, b, c] integer triples"),
+    (ic.matrix_from_json, {"rank": 1, "cols": [[[[-1, 0, 1]]], [[[1, 0, True]]]]},
+     "negative exponent in polynomial term"),
+]
+
+
+def test_wire_parsers_refuse_malformed_input_with_fixed_texts():
+    for parse, obj, text in _PARSE_ERRORS:
+        with pytest.raises(ValueError) as info:
+            parse(obj)
+        assert str(info.value) == text, obj
+    # library callers may pass tuples
+    assert ic.from_json({"gens": [(2, 0), (0, 3)]}).to_pairs() == [[2, 0], [0, 3]]
+
+
 def test_classify_command_all_ranks(tmp_path, capsys, showcase_a, showcase_b):
     path = write_ideal(tmp_path, showcase_a)
     code, out, _ = run(capsys, ["classify", path, "--rank", "all"])
@@ -250,6 +344,9 @@ def test_classify_command_chain_top_rank(tmp_path, capsys, chain_ideal):
     code, out, _ = run(capsys, ["classify", path, "--rank", "4"])
     assert code == 0  # unknown is a result, not an error
     assert json.loads(out)["indecomposable"] == "unknown"
+    # one rank is written indented, strings and null included, as the stdlib writes it
+    verdict = ic.classify(chain_ideal, 4).to_json()
+    assert out == json.dumps(verdict, indent=2, sort_keys=True) + "\n"
 
 
 def test_construct_and_length_commands(tmp_path, capsys, showcase_a):
