@@ -267,7 +267,7 @@ _json_value = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_json_value)
 def test_indented_output_is_the_stdlib_rendering(obj):
     out = io.StringIO()
