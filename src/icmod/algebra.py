@@ -102,7 +102,7 @@ class BiPoly:
 
     @classmethod
     def from_triples(cls, triples) -> "BiPoly":
-        return cls((Monomial(int(t[0]), int(t[1])), int(t[2])) for t in triples)
+        return cls(((t[0], t[1]), int(t[2])) for t in triples)
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"

@@ -1,7 +1,7 @@
 """Presentation matrices of finite-colength submodules of a free module.
 
 Builds the rank-e module attached to a normalized staircase, computes Fitting
-ideals from exact minors (maximal minors of a graded forest by a tree walk),
+ideals from exact minors (maximal minors of a graded forest by a tree DP),
 and measures colengths and minimal generator counts with two engines.  A
 Z^2-graded matrix (every entry a single term, and row and column degrees
 that fit every entry; build_module, from_ideal and direct_sum all give one)
@@ -239,58 +239,47 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
     the edges form a forest, C is a basis exactly when each tree of its edges
     holds one single, whatever the coefficients: a tree of edges spans a
     hyperplane whose normal has no zero coordinate, so one unit vector leaves
-    it and a second is dependent.  One walk per tree roots it and finds
-    cycles; only after every tree is walked is each solved bottom-up, keeping
-    at each row v the Pareto-minimal degree sums of its subtree in two states:
-    no_single, v's component has no single yet, and one_single, it has one.
+    it and a second is dependent.  The grading walk roots every component, so
+    the edges form a forest exactly when they are as many as its non-root
+    rows; each edge is then the one by which the walk reached a row.  The walk
+    is solved in reverse, keeping at each row v the Pareto-minimal degree sums
+    of its subtree in two states: no_single, v's component has no single yet,
+    and one_single, it has one; a root closes its tree into the product.
     Raises NonMonomialIdeal when every maximal minor vanishes; any other
     matrix gives None, for the minor table.
     """
     graded = _grading(mat)
     if graded is None:
         return None
-    row_deg, col_deg, vecs = graded
+    row_deg, col_deg, vecs, walk = graded
     e = mat.rank
     singles: list[list[tuple[int, int]]] = [[] for _ in range(e)]
-    edges: list[list[tuple[int, int, tuple[int, int]]]] = [[] for _ in range(e)]
-    for j, (d, vec) in enumerate(zip(col_deg, vecs)):
+    edges = 0
+    for d, vec in zip(col_deg, vecs):
         if len(vec) == 1:
             singles[vec[0][0]].append(d)
         elif len(vec) == 2:
-            i, k = vec[0][0], vec[1][0]
-            edges[i].append((k, j, d))
-            edges[k].append((i, j, d))
+            edges += 1
         else:
             return None
-    trees = []  # per tree: (row, parent row, degree of the edge to it), parents first
-    seen = [False] * e
-    for root in range(e):
-        if seen[root]:
-            continue
-        order = []
-        stack = [(root, -1, -1, (0, 0))]
-        while stack:
-            v, p, via, d = stack.pop()
-            if seen[v]:  # reached twice: a cycle, parallel columns included
-                return None
-            seen[v] = True
-            order.append((v, p, d))
-            stack += [(u, v, j, du) for u, j, du in edges[v] if j != via]  # not the way in
-        trees.append(order)
+    if edges != sum(p >= 0 for _v, p, _j in walk):  # a cycle, parallel columns included
+        return None
     no_single = [[(0, 0)]] * e
     one_single = [minimal_pairs(s) for s in singles]
     total = [(0, 0)]
-    for order in trees:
-        for u, v, (dx, dy) in reversed(order[1:]):
-            # the edge to u is cut, so u's component is closed, or kept and merged
-            o_up = [(a + dx, b + dy) for a, b in no_single[u]]
-            k_up = [(a + dx, b + dy) for a, b in one_single[u]]
-            o, k = no_single[v], one_single[v]
-            no_single[v] = minimal_pairs(_plus(o, one_single[u]) + _plus(o, o_up))
-            one_single[v] = minimal_pairs(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
-        total = minimal_pairs(_plus(total, one_single[order[0][0]]))
-        if not total:
-            raise NonMonomialIdeal(f"no single-term {e}-minors to generate from")
+    for u, v, j in reversed(walk):
+        if v < 0:  # every row of u's tree is merged into the root u
+            total = minimal_pairs(_plus(total, one_single[u]))
+            if not total:
+                raise NonMonomialIdeal(f"no single-term {e}-minors to generate from")
+            continue
+        # the edge to u is cut, so u's component is closed, or kept and merged
+        dx, dy = col_deg[j]
+        o_up = [(a + dx, b + dy) for a, b in no_single[u]]
+        k_up = [(a + dx, b + dy) for a, b in one_single[u]]
+        o, k = no_single[v], one_single[v]
+        no_single[v] = minimal_pairs(_plus(o, one_single[u]) + _plus(o, o_up))
+        one_single[v] = minimal_pairs(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
     wx = sum(w[0] for w in row_deg)
     wy = sum(w[1] for w in row_deg)
     return canonicalize([(a - wx, b - wy) for a, b in total])
@@ -300,8 +289,8 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     """Certified monomial ideal of t-minors.
 
     Maximal minors (t the rank) of a graded forest presentation, which
-    build_module, from_ideal and direct_sum give, come from a tree walk over
-    the column matroid (_forest_fitting) with no minor listed.  Otherwise the
+    build_module, from_ideal and direct_sum give, come from a tree DP over
+    the grading walk (_forest_fitting) with no minor listed.  Otherwise the
     candidate is generated by the one-term minors of the table (signs
     dropped), each of which is then divisible by a candidate generator; the
     certificate checks that every term of every minor with two or more terms
@@ -341,15 +330,17 @@ def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 def _grading(mat: PresMatrix):
-    """Row degrees, column degrees and column coefficient vectors, or None.
+    """Row degrees, column degrees, column coefficient vectors and the walk, or None.
 
     A single-term entry c x^a y^b in row i and column j ties the degrees
-    together: delta_j = w_i + (a, b).  A walk over the row/column graph fixes
+    together: delta_j = w_i + (a, b).  One walk over the row/column graph fixes
     every degree from one root row per connected component, put at (0, 0); a
     row with no entries is a component of its own.  The matrix is not graded
     when an entry has two or more terms or when two entries of a column give
     it two different degrees.  The vector of column j lists its
-    (row, coefficient) pairs.
+    (row, coefficient) pairs.  The walk lists every row once, as (row, parent
+    row or -1 for a root, column it was reached by or -1), in placement
+    order: each row after its parent, each component after the one before.
     """
     e = mat.rank
     col_terms = []
@@ -367,10 +358,12 @@ def _grading(mat: PresMatrix):
         col_terms.append(terms)
     row_deg: list = [None] * e
     col_deg: list = [None] * len(col_terms)
+    walk = []
     for root in range(e):
         if row_deg[root] is not None:
             continue
         row_deg[root] = (0, 0)
+        walk.append((root, -1, -1))
         stack = [root]
         while stack:
             i = stack.pop()
@@ -383,11 +376,12 @@ def _grading(mat: PresMatrix):
                     for k, ka, kb, _c in col_terms[j]:
                         if row_deg[k] is None:
                             row_deg[k] = (d[0] - ka, d[1] - kb)
+                            walk.append((k, i, j))
                             stack.append(k)
                 elif col_deg[j] != d:
                     return None
     vecs = [[(i, c) for i, _a, _b, c in terms] for terms in col_terms]
-    return row_deg, col_deg, vecs
+    return row_deg, col_deg, vecs, walk
 
 
 def _graded_sweep(row_deg, col_deg, vecs) -> tuple[int | None, int]:
@@ -538,7 +532,7 @@ def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     graded = _grading(mat)
     if graded is None:
         return certified_colength(mat, cap)[0]
-    colength, _mu = _graded_sweep(*graded)
+    colength, _mu = _graded_sweep(*graded[:3])
     if colength is None:
         raise NotFiniteColength("the quotient is nonzero on an unbounded cell of the degree grid")
     return colength
@@ -556,7 +550,7 @@ def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     """
     graded = _grading(mat)
     if graded is not None:
-        return _graded_sweep(*graded)[1]
+        return _graded_sweep(*graded[:3])[1]
     cols = _column_terms(mat)
     for deg in _degrees(cols, cap, None):
         span, gained = _truncation(cols, mat.rank, deg)

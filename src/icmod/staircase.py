@@ -50,10 +50,10 @@ def canonicalize(points: Iterable) -> "MonomialIdeal":
         a, b = int(p[0]), int(p[1])
         if a < 0 or b < 0:
             raise ValueError(f"negative exponent in generator ({a}, {b})")
-        pts.append(Monomial(a, b))
+        pts.append((a, b))
     if not pts:
         raise EmptyGenerators("a monomial ideal needs at least one generator")
-    return MonomialIdeal(tuple(minimal_pairs(pts)))
+    return MonomialIdeal(tuple(Monomial(a, b) for a, b in minimal_pairs(pts)))
 
 
 @dataclass(frozen=True)

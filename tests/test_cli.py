@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -421,6 +422,16 @@ def test_atlas_determinism_and_formats(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert any(row["ideal_gens"] == [[2, 0], [1, 1], [0, 3]] for row in rows)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "54fb27994212823ef5fe1677b5d519592bb9cc70c7ce932b3ee785e223aac1a7"),
+    ("jsonl", "52a26a67fe5914d3797979df1b5570ab50dd49dee24cd5ff4dffb579e4949a4c"),
+])
+def test_atlas_bytes_are_pinned(capsys, fmt, digest):
+    code, out, err = run(capsys, ["atlas", "--max-a", "8", "--max-b", "8", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_render_svg(tmp_path, capsys, example_reference, showcase_b):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import icmod as ic
@@ -204,6 +204,57 @@ def test_forest_fitting_matches_minor_table_on_random_forests(mat):
     assert forest_fitting(mat) == table_fitting(mat)
 
 
+@st.composite
+def graded_non_forests(draw):
+    """A graded forest with one more column that leaves the forest tests.
+
+    The extra column joins two rows of one tree (closing a cycle, or doubling
+    an edge when the rows are adjacent) or holds three entries.  It sits at a
+    random position, so the walk may meet it before or after the tree's edges.
+    """
+    mat = draw(graded_forests().filter(lambda m: m.rank >= 2))
+    e = mat.rank
+    tree = list(range(e))  # union-find over the two-entry columns
+
+    def root(i):
+        while tree[i] != i:
+            i = tree[i]
+        return i
+
+    for col in mat.cols:
+        ends = [i for i, entry in enumerate(col) if entry]
+        if len(ends) == 2:
+            tree[root(ends[0])] = root(ends[1])
+    if e >= 3 and draw(st.booleans()):
+        used = draw(st.lists(st.integers(0, e - 1), min_size=3, max_size=3, unique=True))
+    else:
+        pairs = [(i, k) for i in range(e) for k in range(i + 1, e) if root(i) == root(k)]
+        assume(pairs)
+        used = list(draw(st.sampled_from(pairs)))
+    rows = _grading(mat)[0]  # a grading of mat, which the new column keeps
+    dx = max(rows[i][0] for i in used) + draw(st.integers(0, 2))
+    dy = max(rows[i][1] for i in used) + draw(st.integers(0, 2))
+    col = [BiPoly.zero()] * e
+    for i in used:
+        col[i] = BiPoly.term(dx - rows[i][0], dy - rows[i][1], draw(st.integers(-7, 100).filter(bool)))
+    at = draw(st.integers(0, mat.ncols))
+    return PresMatrix(e, mat.cols[:at] + (tuple(col),) + mat.cols[at:])
+
+
+@seed(2021)
+@settings(max_examples=200, deadline=None)
+@given(graded_non_forests())
+def test_forest_fitting_leaves_cycles_and_three_entry_columns_to_the_table(mat):
+    assert _grading(mat) is not None
+    assert _forest_fitting(mat) is None
+    expected = table_fitting(mat)
+    if expected is None:
+        with pytest.raises(NonMonomialIdeal):
+            ic.fitting_ideal(mat, mat.rank)
+    else:
+        assert ic.fitting_ideal(mat, mat.rank) == expected
+
+
 def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showcase_a):
     calls = []
     table = modmat.signed_minor_table
@@ -217,8 +268,8 @@ def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showc
     three = PresMatrix(3, ((X, X, X), (Y, zero, zero), (zero, Y, zero), (zero, zero, Y)))
     ungraded = PresMatrix(2, ((X, Y), (one, one), (y2, zero)))
     multi_term = PresMatrix(2, ((P((1, 0, 1), (0, 1, 1)), zero), (zero, X), (Y, zero)))
-    # a tree with no single on rows 0-1 comes before a cycle on rows 2-4: every
-    # tree is walked before any is solved, so the cycle still sends it to the table
+    # a tree with no single on rows 0-1 comes before a cycle on rows 2-4: the
+    # edges are counted before any tree is solved, so the cycle still sends it to the table
     bare_then_cycle = PresMatrix(5, ((X, X, zero, zero, zero), (zero, zero, X, X, zero),
                                      (zero, zero, zero, X, X), (zero, zero, X, zero, X)))
     for mat in (cycle, parallel, three, ungraded, multi_term, bare_then_cycle):
@@ -506,9 +557,24 @@ def test_grading_refuses_multi_term_entries_and_degree_conflicts():
     # and e_0 + e_1 puts it at w_0
     one = BiPoly.term(0, 0)
     assert _grading(PresMatrix(2, ((X, Y), (one, one)))) is None
-    rows, cols, vecs = _grading(PresMatrix(2, ((X, Y), (one, BiPoly.zero()))))
+    rows, cols, vecs, walk = _grading(PresMatrix(2, ((X, Y), (one, BiPoly.zero()))))
     assert rows == [(0, 0), (1, -1)] and cols == [(1, 0), (0, 0)]
     assert vecs == [[(0, 1), (1, 1)], [(0, 1)]]
+    assert walk == [(0, -1, -1), (1, 0, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graded_forests(), graded_matrices()))
+def test_grading_walk_places_every_row_once_after_its_parent(mat):
+    vecs, walk = _grading(mat)[2:]
+    assert sorted(v for v, _p, _j in walk) == list(range(mat.rank))
+    placed = set()
+    for v, p, j in walk:
+        if p < 0:
+            assert j == -1
+        else:  # reached from its parent through a column holding both rows
+            assert p in placed and {p, v} <= {i for i, _c in vecs[j]}
+        placed.add(v)
 
 
 def test_direct_sum(showcase_a):
