@@ -1,8 +1,8 @@
 """Exact arithmetic substrate: monomials, bivariate integer polynomials, exact ranks.
 
-Everything in this module is immutable and pure, so values can be shared and
-evaluated concurrently without coordination.  Coefficients are arbitrary
-precision integers; ranks are ranks over the rationals.
+Monomials and polynomials are immutable values; the two spans are mutable
+accumulators, each owned by the one engine call that fills it.  Coefficients
+are arbitrary precision integers; ranks are ranks over the rationals.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ class Monomial(NamedTuple):
 
     a: int
     b: int
-
-    @property
-    def degree(self) -> int:
-        return self.a + self.b
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.a + other.a, self.b + other.b)
 
 
 def _term_key(item):
@@ -73,10 +66,8 @@ class BiPoly:
         return p
 
     def items(self) -> list[tuple[Monomial, int]]:
-        """Terms in canonical order (degree-lex, x before y, descending)."""
-        if len(self._terms) < 2:  # most entries of a built module are single terms
-            return list(self._terms.items())
-        return sorted(self._terms.items(), key=_term_key)
+        """Terms as stored; only to_triples and str put them in canonical order."""
+        return list(self._terms.items())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -98,7 +89,7 @@ class BiPoly:
 
     def to_triples(self) -> list[list[int]]:
         """Serialize as [a, b, coefficient] triples in canonical order."""
-        return [[m.a, m.b, c] for m, c in self.items()]
+        return [[m.a, m.b, c] for m, c in sorted(self._terms.items(), key=_term_key)]
 
     @classmethod
     def from_triples(cls, triples) -> "BiPoly":
@@ -111,7 +102,7 @@ class BiPoly:
         if not self._terms:
             return "0"
         parts = []
-        for mon, c in self.items():
+        for mon, c in sorted(self._terms.items(), key=_term_key):
             body = []
             if mon.a:
                 body.append("x" if mon.a == 1 else f"x^{mon.a}")
@@ -142,17 +133,15 @@ class GraphSpan:
     Rows must be single entries (any nonzero coefficient) or pairs of entries
     with equal coefficient magnitude.  Such rows form a signed graph on the
     coordinate set; a component either spans a hyperplane cut out by a +-1
-    potential or the full coordinate subspace.  Rank updates are then
-    near-constant time.
+    potential or the full coordinate subspace.
     """
 
-    __slots__ = ("parent", "sign", "full", "size", "rank")
+    __slots__ = ("parent", "sign", "full", "rank")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.sign = [1] * n
         self.full = bytearray(n)
-        self.size = [1] * n
         self.rank = 0
 
     def _find(self, u: int) -> tuple[int, int]:
@@ -204,11 +193,8 @@ class GraphSpan:
 
     def _union(self, ru: int, rv: int, rel: int) -> None:
         # rel is the required sign of root rv relative to root ru
-        if self.size[ru] < self.size[rv]:
-            ru, rv = rv, ru
         self.parent[rv] = ru
         self.sign[rv] = rel
-        self.size[ru] += self.size[rv]
         if self.full[rv]:
             self.full[ru] = 1
 

@@ -15,7 +15,6 @@ from .algebra import Monomial
 from .modmat import (
     DEFAULT_CAP,
     NegativeExponent,
-    NotNormalized,
     PresMatrix,
     RankOutOfRange,
     build_module,
@@ -24,7 +23,6 @@ from .modmat import (
     fitting_ideal,
 )
 from .staircase import (
-    EmptyGenerators,
     MonomialIdeal,
     NotComplete,
     NotPrimary,
@@ -87,7 +85,7 @@ def _smallest_witness(fit: MonomialIdeal, closure: MonomialIdeal) -> Monomial:
     # there), and a closure generator inside the ideal is an ideal generator,
     # since the ideal generator dividing it lies in the closure.
     gens = set(fit.gens)
-    return min((g for g in closure.gens if g not in gens), key=lambda m: (m.degree, m.b))
+    return min((g for g in closure.gens if g not in gens), key=lambda m: (m.a + m.b, m.b))
 
 
 def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
@@ -104,8 +102,7 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
         notes.append("axes_swapped")
     try:
         mat = build_module(work, rank)
-    except (RankOutOfRange, NotNormalized, NegativeExponent, NotPrimary,
-            EmptyGenerators) as exc:
+    except (RankOutOfRange, NegativeExponent, NotPrimary) as exc:
         return Verdict(
             construction_ok=False,
             rank=rank,

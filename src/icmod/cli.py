@@ -514,11 +514,14 @@ def main(argv=None) -> int:
     except BoundsTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory; the input is too large for this request", file=sys.stderr)
+        return 4
     except (modmat.NonMonomialIdeal, modmat.NotFiniteColength,
             multiplicity.Uncertified) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, staircase.NotComplete) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -308,10 +308,10 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     ideal = canonicalize(singles)
     for det in dets:
         if len(det) > 1:
-            for mon, _c in BiPoly(det).items():
-                if not ideal.contains(mon):
+            for a, b, _c in BiPoly(det).to_triples():
+                if not ideal.contains((a, b)):
                     raise NonMonomialIdeal(
-                        f"minor term x^{mon.a} y^{mon.b} is not reducible by the candidate ideal"
+                        f"minor term x^{a} y^{b} is not reducible by the candidate ideal"
                     )
     return ideal
 

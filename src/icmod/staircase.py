@@ -168,7 +168,7 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return canonicalize([g.times(h) for g in self.gens for h in other.gens])
+        return canonicalize([(g.a + h.a, g.b + h.b) for g in self.gens for h in other.gens])
 
     def __pow__(self, n: int) -> "MonomialIdeal":
         if n < 1:

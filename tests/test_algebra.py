@@ -1,6 +1,11 @@
 import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 import icmod as ic
+from icmod import algebra
 from icmod.algebra import GraphSpan, PivotSpan, X, Y, tri
 
 from conftest import P, permutation_det, rank_exact
@@ -31,6 +36,36 @@ def test_poly_str_and_triples_roundtrip():
     assert str(P((1, 0, 1), (0, 1, 1))) == "x + y"
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.integers(-9, 9).filter(bool), max_size=8).flatmap(
+    lambda terms: st.permutations(sorted(terms.items()))))
+def test_writers_render_terms_in_canonical_order(terms):
+    # whatever order the terms went in, the writers list degree descending, then x descending
+    p = ic.BiPoly(terms)
+    canonical = sorted(terms, key=lambda t: (-(t[0][0] + t[0][1]), -t[0][0]))
+    assert p.to_triples() == [[a, b, c] for (a, b), c in canonical]
+    assert str(p) == str(ic.BiPoly(canonical))
+    assert sorted(p.items()) == sorted(terms)
+
+
+def test_engines_read_terms_without_sorting(monkeypatch, showcase_a):
+    # only the writers order terms; every engine reads them as stored
+    def refuse(_item):
+        raise AssertionError("an engine sorted the terms of an entry")
+
+    monkeypatch.setattr(algebra, "_term_key", refuse)
+    lin = ic.BiPoly.from_triples([[1, 0, 1], [0, 1, 1]])
+    cut = ic.PresMatrix(1, ((ic.BiPoly.term(2, 0),), (lin,), (ic.BiPoly.term(0, 3),)))
+    assert (ic.colength_module(cut), ic.mu_module(cut)) == (2, 2)
+    assert ic.signed_minor_table(cut, 1)[((0,), 2)] == {(1, 0): 1, (0, 1): 1}
+    sample = ic.reduction_multiplicity(showcase_a, trials=4, seed=0)
+    assert sample.value == ic.area_multiplicity(showcase_a)
+    built = ic.build_module(ic.canonicalize([(2, 0), (1, 1), (0, 2)]), 2)
+    assert ic.module_multiplicity(built, trials=4, seed=0).certified
+    with pytest.raises(AssertionError):
+        lin.to_triples()
+
+
 def test_rank_exact_trivial():
     assert rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
     assert rank_exact([[0, 0], [0, 0]]) == 0
@@ -47,20 +82,42 @@ def _dense_rank(rows, ncols):
     return rank_exact(mat)
 
 
+def _signed(rng, mag):
+    return rng.choice((-mag, mag))
+
+
 def test_graph_span_matches_dense_rank():
+    # few single rows leave components without one, so their cycle signs decide the rank
     rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randint(2, 14)
+    for trial in range(90):
+        small = trial < 60
+        n = rng.randint(2, 14) if small else rng.randint(40, 200)
+        singles = (0.0, 0.1, 0.4)[trial % 3]
         rows = []
-        for _ in range(rng.randint(1, 25)):
-            if rng.random() < 0.4:
-                rows.append([(rng.randrange(n), rng.choice((-1, 1)))])
+        if trial % 2:
+            # a long chain over a shuffled path
+            path = rng.sample(range(n), n)
+            for u, v in zip(path, path[1:]):
+                mag = rng.choice((1, 2, 3, 7))
+                rows.append([(u, _signed(rng, mag)), (v, _signed(rng, mag))])
+        for _ in range(rng.randint(1, 25 if small else n // 2)):
+            if rng.random() < singles:
+                rows.append([(rng.randrange(n), _signed(rng, rng.randint(1, 5)))])
             else:
                 u, v = rng.sample(range(n), 2)
-                rows.append([(u, rng.choice((-1, 1))), (v, rng.choice((-1, 1)))])
+                mag = rng.choice((1, 1, 2, 3))
+                rows.append([(u, _signed(rng, mag)), (v, _signed(rng, mag))])
+        rng.shuffle(rows)
         span = GraphSpan(n)
-        got = sum(1 for row in rows if span.add(list(row)))
-        assert got == span.rank == _dense_rank(rows, n)
+        if small:  # row by row
+            before = 0
+            for k, row in enumerate(rows):
+                after = _dense_rank(rows[:k + 1], n)
+                assert span.add(list(row)) == (after > before) and span.rank == after
+                before = after
+        else:
+            got = sum(1 for row in rows if span.add(list(row)))
+            assert got == span.rank == _dense_rank(rows, n)
 
 
 def test_pivot_span_matches_dense_rank():

@@ -470,6 +470,34 @@ def test_certificate_failure_exit_code(tmp_path, capsys):
     assert code == 3 and not out and "truncation cap 64" in err
 
 
+def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, capsys):
+    # the multi-term minor x^1 y^3 + ... stores x^1 y^2 first; the message names x^1 y^3
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"rank": 2, "cols": [
+        [[[1, 1, 2], [0, 0, 1]], [[0, 0, 2], [0, 1, 1]]],
+        [[[1, 0, 1]], []],
+        [[[1, 2, 2], [1, 0, 1]], [[1, 2, 1]]]]}))
+    code, out, err = run(capsys, ["audit", "--check", "gap-bound", str(path)])
+    assert code == 3 and not out
+    assert err == ("error: NonMonomialIdeal: minor term x^1 y^3 is not reducible by the "
+                   "candidate ideal\n")
+
+
+def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhaust(*_args, **_kwargs):
+        raise MemoryError
+
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"rank": 1, "cols": [[[[2, 0, 1]]], [[[1, 0, 1], [0, 1, 1]]],
+                                                    [[[0, 3, 1]]]]}))
+    monkeypatch.setattr(ic.modmat, "signed_minor_table", exhaust)
+    monkeypatch.setattr(ic.modmat, "colength_module", exhaust)
+    for argv in (["audit", "--check", "gap-bound", str(path)], ["length", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert code == 4 and not out, argv
+        assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1, argv
+
+
 def test_length_of_constructed_modules_of_high_degree():
     # the rank-3 module of (x^30, y^30)^3 has entries of degree 90; truncation
     # certifies it only at degree 117, past every admitted --trunc-cap, but the

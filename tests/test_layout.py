@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "icmod"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "icmod"
 SIBLINGS = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -39,3 +41,20 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert private_imports("from __future__ import annotations\nimport os\nos._exit") == []
     for path in sorted(SRC.glob("*.py")):
         assert private_imports(path.read_text()) == [], path.name
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # the tracer behind perfbench's --trace wraps these names; a rename must not drop one
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [entry[:2] for entry in tracer.SPANNED + tracer.TIMED_LEAVES + tracer.COUNTED]
+    assert ("algebra", "PivotSpan.contains_single") in names
+    assert ("algebra", "GraphSpan.add") in names
+    for modname, attr in names:
+        home = importlib.import_module("icmod." + modname)
+        if "." in attr:  # methods resolve through the class dict, as Tracer.install does
+            cls_name, meth = attr.split(".")
+            assert callable(getattr(home, cls_name).__dict__.get(meth)), (modname, attr)
+        else:
+            assert callable(getattr(home, attr, None)), (modname, attr)
