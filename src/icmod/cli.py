@@ -1,8 +1,10 @@
 """Command-line surface: single-ideal analysis, batch atlas, and SVG rendering.
 
 All output is machine readable (JSON, JSONL, CSV, or SVG) and byte-stable for
-a fixed tool version and input.  Exit codes: 0 success, 2 malformed input or
-unmet precondition, 3 internal certificate failure, 4 bounds guardrail.
+a fixed tool version and input.  Each verb returns its reply and `main` writes
+it once.  Exit codes: 0 success, 2 malformed input, unmet precondition or a
+reply that cannot be written, 3 internal certificate failure, 4 bounds
+guardrail or out of memory.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ def _load_json(path: str):
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write to the --out path, or to stdout when none was given."""
-    if not path:
-        sys.stdout.write(text)
-        return
+    """Write the reply to the --out path, or to stdout when none was given."""
     try:
+        if not path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
@@ -131,21 +134,20 @@ def _indented(obj, pad: str = "") -> str:
     return json.dumps(obj)
 
 
-def _emit(obj, compact: bool) -> None:
+def _dump(obj, compact: bool) -> str:
     if compact:
-        print(json.dumps(obj, separators=(",", ":"), sort_keys=True))
-    else:
-        print(_indented(obj))
+        return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+    return _indented(obj) + "\n"
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> str:
     ideal = _load_ideal(args.input)
     _check_size(ideal)
     if not ideal.is_m_primary:
         raise ValueError("closure needs an m-primary staircase")
     hull = ideal.newton_vertices()  # an ideal and its closure share their hull
     closed = hull.closure()
-    _emit(
+    return _dump(
         {
             "gens": closed.to_pairs(),
             "vertices": [[v.a, v.b] for v in hull.vertices],
@@ -153,21 +155,19 @@ def _cmd_closure(args) -> int:
         },
         args.json,
     )
-    return 0
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> str:
     ideal = _load_ideal(args.input)
     _check_size(ideal)
     fact = ideal.zariski_factor()
-    _emit(
+    return _dump(
         {"factors": [{"p": p, "q": q, "mult": m} for p, q, m in fact.factors]},
         args.json,
     )
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> str:
     ideal = _load_ideal(args.input)
     if not ideal.is_m_primary:
         raise ValueError("classification needs an m-primary staircase")
@@ -181,35 +181,30 @@ def _cmd_classify(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--rank must be an integer or 'all', got {args.rank!r}") from exc
     _check_size(ideal, max(ranks))
-    for e in ranks:
-        verdict = classify(ideal, e)
-        _emit(verdict.to_json(), compact=args.json or args.rank == "all")
-    return 0
+    compact = args.json or args.rank == "all"
+    return "".join(_dump(classify(ideal, e).to_json(), compact) for e in ranks)
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> str:
     ideal = _load_ideal(args.input)
     modmat.module_spec(ideal, args.rank)  # an unmet precondition exits 2 before the guardrail
     _check_size(ideal, args.rank)
     mat = modmat.build_module(ideal, args.rank)
-    _emit(mat.to_json(), args.json)
-    return 0
+    return _dump(mat.to_json(), args.json)
 
 
-def _cmd_length(args) -> int:
+def _cmd_length(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
     _check_trunc_cap(args)
     if isinstance(obj, staircase.MonomialIdeal):
-        _emit({"kind": "ideal", "colength": obj.colength()}, args.json)
-    else:
-        _check_size(obj, obj.rank)
-        _check_columns(obj)
-        value = modmat.colength_module(obj, cap=args.trunc_cap)
-        _emit({"kind": "module", "colength": value}, args.json)
-    return 0
+        return _dump({"kind": "ideal", "colength": obj.colength()}, args.json)
+    _check_size(obj, obj.rank)
+    _check_columns(obj)
+    value = modmat.colength_module(obj, cap=args.trunc_cap)
+    return _dump({"kind": "module", "colength": value}, args.json)
 
 
-def _cmd_mult(args) -> int:
+def _cmd_mult(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
     if args.trials > MAX_TRIALS:
         raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
@@ -232,11 +227,10 @@ def _cmd_mult(args) -> int:
             "seed": sample.seed,
             "trials": args.trials,
         }
-    _emit(out, args.json)
-    return 0
+    return _dump(out, args.json)
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> str:
     if args.check in ("gap-equality", "split"):
         obj = _load_ideal(args.input)
     else:
@@ -249,26 +243,23 @@ def _cmd_audit(args) -> int:
         obj = modmat.build_module(obj.normalized(), rank)
     if args.check == "gap-equality":
         rec = audit_gap_equality(obj, args.rank)
-        _emit({"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}, args.json)
+        reply = {"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}
     elif args.check == "gap-bound":
         rec = audit_gap_bound(obj, cap=args.trunc_cap)
-        _emit({"diff": rec.diff, "bound": rec.bound, "pass": rec.passed}, args.json)
+        reply = {"diff": rec.diff, "bound": rec.bound, "pass": rec.passed}
     elif args.check == "split":
         if not args.part1:
             raise ValueError("--part1 is required for the split audit")
         part1 = {int(tok) for tok in args.part1.split(",")}
         rec = audit_split_inequality(obj, part1)
-        _emit({"lhs": rec.lhs, "rhs": rec.rhs, "strict": rec.strict}, args.json)
-    elif args.check == "summand":
+        reply = {"lhs": rec.lhs, "rhs": rec.rhs, "strict": rec.strict}
+    else:  # summand
         rec = audit_summand_hypotheses(obj)
-        _emit(
-            {
-                "ord_ge_rank_plus_1": rec.ord_ge_rank_plus_1,
-                "next_fitting_closure_is_m_power": rec.next_fitting_closure_is_m_power,
-            },
-            args.json,
-        )
-    return 0
+        reply = {
+            "ord_ge_rank_plus_1": rec.ord_ge_rank_plus_1,
+            "next_fitting_closure_is_m_power": rec.next_fitting_closure_is_m_power,
+        }
+    return _dump(reply, args.json)
 
 
 @dataclass(frozen=True)
@@ -337,7 +328,7 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[AtlasRow]:
     return rows
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args) -> str:
     _check_trunc_cap(args)
     rows = atlas_rows(args.max_a, args.max_b, which=args.filter)
     if args.format == "csv":
@@ -346,14 +337,8 @@ def _cmd_atlas(args) -> int:
         writer.writerow(ATLAS_COLUMNS)
         for row in rows:
             writer.writerow(row.csv_values())
-        text = buf.getvalue()
-    else:
-        text = "".join(
-            json.dumps(row.to_json(), separators=(",", ":"), sort_keys=True) + "\n"
-            for row in rows
-        )
-    _write_out(args.out, text)
-    return 0
+        return buf.getvalue()
+    return "".join(_dump(row.to_json(), True) for row in rows)
 
 
 def render_svg(ideal: staircase.MonomialIdeal) -> str:
@@ -403,14 +388,12 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> str:
     ideal = _load_ideal(args.input)
     _check_size(ideal)
     if not ideal.is_m_primary:
         raise ValueError("rendering needs an m-primary staircase")
-    text = render_svg(ideal)
-    _write_out(args.out, text)
-    return 0
+    return render_svg(ideal)
 
 
 def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -510,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_out(getattr(args, "out", ""), args.func(args))
+        return 0
     except BoundsTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

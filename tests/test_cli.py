@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, _emit,
+from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, _dump,
                        atlas_rows, main, render_svg)
 
 
@@ -271,10 +272,7 @@ _json_value = st.recursive(
 @settings(max_examples=150, deadline=None)
 @given(_json_value)
 def test_indented_output_is_the_stdlib_rendering(obj):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _emit(obj, False)
-    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert _dump(obj, False) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # malformed wire input and the exact refusal, in the order the parsers check it
@@ -496,6 +494,62 @@ def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert code == 4 and not out, argv
         assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1, argv
+
+
+class _FailingStdout:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def write(self, _text):
+        raise self.exc
+
+    def flush(self):
+        raise self.exc
+
+
+def test_a_reply_that_cannot_be_written_exits_2(tmp_path, capsys, monkeypatch):
+    path = write_ideal(tmp_path, ic.canonicalize([(3, 0), (1, 1), (0, 3)]))
+    for exc in (BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                OSError(errno.ENOSPC, "No space left on device")):
+        for argv in (["closure", path], ["atlas", "--max-a", "3", "--max-b", "3"]):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _FailingStdout(exc))
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, (argv, exc)
+            assert err == f"error: cannot write output: {exc}\n", (argv, exc)
+
+
+def test_a_closed_pipe_on_stdout_exits_2_with_one_line(tmp_path):
+    path = write_ideal(tmp_path, ic.canonicalize([(3, 0), (1, 1), (0, 3)]))
+    env = {**os.environ, "PYTHONPATH": str(Path(ic.__file__).resolve().parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "icmod.cli", "closure", path], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_request_that_fails_part_way_prints_nothing(tmp_path, capsys, monkeypatch,
+                                                      showcase_a):
+    # the first rank's verdict is computed, the second fails its certificate
+    real, calls = ic.cli.classify, []
+
+    def second_fails(ideal, e):
+        calls.append(e)
+        if len(calls) == 2:
+            raise ic.modmat.NonMonomialIdeal("not reducible")
+        return real(ideal, e)
+
+    monkeypatch.setattr(ic.cli, "classify", second_fails)
+    code, out, err = run(capsys, ["classify", write_ideal(tmp_path, showcase_a),
+                                  "--rank", "all"])
+    assert calls == [2, 3]
+    assert (code, out, err) == (3, "", "error: NonMonomialIdeal: not reducible\n")
 
 
 def test_length_of_constructed_modules_of_high_degree():

@@ -58,3 +58,38 @@ def test_every_traced_name_resolves_in_the_package():
             assert callable(getattr(home, cls_name).__dict__.get(meth)), (modname, attr)
         else:
             assert callable(getattr(home, attr, None)), (modname, attr)
+
+
+def stdout_uses(source: str) -> list[str]:
+    """Where a module writes stdout: a `print(` call with no `file=`, and each
+    `sys.stdout` outside `_write_out`, named by the function it is in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(kw.arg == "file" for kw in node.keywords)):
+            found.append(f"print in {where}")
+        if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"
+                and where != "_write_out"):
+            found.append(f"sys.stdout in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_reply_writer_touches_stdout():
+    # reports and errors go to stderr; stdout carries the byte-stable reply alone
+    assert stdout_uses("def f():\n    print('x')\n") == ["print in f"]
+    assert stdout_uses("print('x', file=sys.stderr)\n") == []
+    assert stdout_uses("import sys\nOUT = sys.stdout\n") == ["sys.stdout in <module>"]
+    assert stdout_uses("def _write_out(p, t):\n    sys.stdout.write(t)\n") == []
+    assert stdout_uses("def g():\n    def _write_out():\n        pass\n    sys.stdout\n") == [
+        "sys.stdout in g"]
+    for path in sorted(SRC.glob("*.py")):
+        assert stdout_uses(path.read_text()) == [], path.name
