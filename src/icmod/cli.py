@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass, fields
 
 from . import modmat, multiplicity, staircase
 from .classify import (
@@ -28,10 +27,16 @@ from .classify import (
 
 ATLAS_MAX_BOUND = 12
 MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per staircase row
-MAX_RANK = 6  # summand audit and matrix input still list minors, about 2.5x as many per rank
-MAX_TRIALS = 100
+# The summand audit and matrix input that is not a graded forest list minors,
+# about 2.5x as many per rank.  classify, construct and the gap-equality audit
+# take the forest DP and length lists none; all are held to the same cap.
+MAX_RANK = 6
+MAX_TRIALS = 100  # mult only
 MAX_TRUNC_CAP = 80  # a truncation at degree D has about D^2 / 2 coordinates per matrix row
-MAX_COLUMNS = 12  # audits keep a partial minor per column set, length spans every column
+# The minor table keeps a partial minor per column set, and a truncation spans
+# every column.  The graded sweep needs neither, yet length still refuses a
+# graded matrix above the cap (open in CHANGES.md, ROADMAP item 1(b)).
+MAX_COLUMNS = 12
 
 
 class BoundsTooLarge(ValueError):
@@ -250,7 +255,12 @@ def _cmd_audit(args) -> str:
     elif args.check == "split":
         if not args.part1:
             raise ValueError("--part1 is required for the split audit")
-        part1 = {int(tok) for tok in args.part1.split(",")}
+        part1 = set()
+        for tok in args.part1.split(","):
+            try:
+                part1.add(int(tok))
+            except ValueError:
+                raise ValueError(f"--part1 takes comma-separated integers, got {tok!r}") from None
         rec = audit_split_inequality(obj, part1)
         reply = {"lhs": rec.lhs, "rhs": rec.rhs, "strict": rec.strict}
     else:  # summand
@@ -262,44 +272,20 @@ def _cmd_audit(args) -> str:
     return _dump(reply, args.json)
 
 
-@dataclass(frozen=True)
-class AtlasRow:
-    """One atlas record per (complete ideal, rank) pair."""
-
-    ideal_gens: list
-    r: int
-    order: int
-    complete: bool
-    e: int
-    fitting_gens: list
-    integrally_closed: bool
-    verdict: str
-    prop51_diff: int | None
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def csv_values(self) -> list:
-        # generator lists encode as a:b;a:b, an absent gap as the empty cell
-        row = self.to_json()
-        row.update(ideal_gens=_encode_gens(self.ideal_gens),
-                   fitting_gens=_encode_gens(self.fitting_gens),
-                   prop51_diff="" if self.prop51_diff is None else self.prop51_diff)
-        return list(row.values())
-
-
-ATLAS_COLUMNS = [f.name for f in fields(AtlasRow)]
+ATLAS_COLUMNS = ["ideal_gens", "r", "order", "complete", "e", "fitting_gens",
+                 "integrally_closed", "verdict", "prop51_diff"]
 
 
 def _encode_gens(pairs) -> str:
     return ";".join(f"{a}:{b}" for a, b in pairs)
 
 
-def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[AtlasRow]:
-    """Deterministic atlas over all complete normalized staircases in a box."""
+def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[dict]:
+    """Deterministic atlas over all complete normalized staircases in a box:
+    one record per (ideal, rank), keyed by ATLAS_COLUMNS in that order."""
     if max_a > ATLAS_MAX_BOUND or max_b > ATLAS_MAX_BOUND:
         raise BoundsTooLarge(f"bounds are capped at {ATLAS_MAX_BOUND}")
-    rows: list[AtlasRow] = []
+    rows: list[dict] = []
     for ideal in staircase.enumerate_complete_staircases(max_a, max_b, min_r=2,
                                                          star_only=True):
         if which == "simple" and not ideal.is_simple():
@@ -312,19 +298,10 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[AtlasRow]:
             if verdict.fitting_complete:
                 mat = modmat.build_module(ideal, e)
                 diff = verdict.fitting.colength() - modmat.colength_module(mat)
-            rows.append(
-                AtlasRow(
-                    ideal_gens=ideal.to_pairs(),
-                    r=ideal.r,
-                    order=ideal.order(),
-                    complete=True,
-                    e=e,
-                    fitting_gens=verdict.fitting.to_pairs(),
-                    integrally_closed=verdict.integrally_closed,
-                    verdict=verdict.indecomposable,
-                    prop51_diff=diff,
-                )
-            )
+            rows.append({"ideal_gens": ideal.to_pairs(), "r": ideal.r, "order": ideal.order(),
+                         "complete": True, "e": e, "fitting_gens": verdict.fitting.to_pairs(),
+                         "integrally_closed": verdict.integrally_closed,
+                         "verdict": verdict.indecomposable, "prop51_diff": diff})
     return rows
 
 
@@ -332,13 +309,15 @@ def _cmd_atlas(args) -> str:
     _check_trunc_cap(args)
     rows = atlas_rows(args.max_a, args.max_b, which=args.filter)
     if args.format == "csv":
+        # generator lists encode as a:b;a:b; csv writes an absent gap as the empty cell
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(ATLAS_COLUMNS)
+        writer = csv.DictWriter(buf, ATLAS_COLUMNS, lineterminator="\n")
+        writer.writeheader()
         for row in rows:
-            writer.writerow(row.csv_values())
+            writer.writerow({**row, "ideal_gens": _encode_gens(row["ideal_gens"]),
+                             "fitting_gens": _encode_gens(row["fitting_gens"])})
         return buf.getvalue()
-    return "".join(_dump(row.to_json(), True) for row in rows)
+    return "".join(_dump(row, True) for row in rows)
 
 
 def render_svg(ideal: staircase.MonomialIdeal) -> str:
@@ -396,23 +375,16 @@ def _cmd_render(args) -> str:
     return render_svg(ideal)
 
 
-def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    # top-level carries the defaults; subcommand copies suppress theirs so a
-    # flag may be written on either side of the subcommand name
-    d = dict(default=argparse.SUPPRESS) if not top else {}
+def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true",
-                        help="compact single-line JSON output",
-                        **({} if top else d))
+                        help="compact single-line JSON output")
     parser.add_argument("--seed", type=int,
-                        help="seed for randomized reductions (default 0)",
-                        **({"default": 0} if top else d))
+                        help="seed for randomized reductions (default 0)")
     parser.add_argument("--trials", type=int,
-                        help="trials for randomized reductions (default 4)",
-                        **({"default": 4} if top else d))
+                        help="trials for randomized reductions (default 4)")
     parser.add_argument("--trunc-cap", type=_int_at_least(2), dest="trunc_cap",
                         help="largest truncation degree the certificates try "
-                        f"(default {modmat.DEFAULT_CAP})",
-                        **({"default": modmat.DEFAULT_CAP} if top else d))
+                        f"(default {modmat.DEFAULT_CAP})")
 
 
 @functools.cache
@@ -425,9 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for integrally closed modules built from "
         "staircase monomial ideals.",
     )
-    _common_flags(parser, top=True)
-    common = argparse.ArgumentParser(add_help=False)
-    _common_flags(common, top=False)
+    _common_flags(parser)
+    parser.set_defaults(seed=0, trials=4, trunc_cap=modmat.DEFAULT_CAP)
+    # the top level carries the defaults; the subcommand copies suppress theirs,
+    # so a global flag may be written on either side of the subcommand name
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _common_flags(common)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("closure", parents=[common],

@@ -52,8 +52,6 @@ class AbortColength(Exception):
 class ModuleSpec:
     """Shifted exponent data defining the rank-e module of a staircase."""
 
-    ideal: MonomialIdeal
-    rank: int
     aprime: tuple[int, ...]
     c: tuple[int, ...]
 
@@ -134,7 +132,7 @@ def module_spec(ideal: MonomialIdeal, rank: int) -> ModuleSpec:
     if aprime[-1] < 0:
         raise NegativeExponent(f"shifted exponent {aprime[-1]} is negative")
     c = tuple(gens[r - rank + 1 + i].b - i for i in range(1, rank))
-    return ModuleSpec(ideal, rank, aprime, c)
+    return ModuleSpec(aprime, c)
 
 
 def build_module(ideal: MonomialIdeal, rank: int) -> PresMatrix:

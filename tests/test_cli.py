@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-from icmod.cli import (MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS, MAX_TRUNC_CAP, _dump,
-                       atlas_rows, main, render_svg)
+from icmod.cli import (ATLAS_COLUMNS, MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS,
+                       MAX_TRUNC_CAP, _dump, atlas_rows, main, render_svg)
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -101,6 +101,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     path = write_ideal(tmp_path, ic.maximal_ideal())
     code, out, err = run(capsys, ["classify", path])
     assert code == 2 and not out and err
+
+    # a --part1 index that is not an integer is named with its flag
+    code, out, err = run(capsys, ["audit", path, "--check", "split", "--part1", "0,a"])
+    assert (code, out, err) == (2, "", "error: --part1 takes comma-separated integers, got 'a'\n")
 
     # flag values outside their range are refused by the parser
     for argv in (["--trunc-cap", "1", "length", path], ["mult", path, "--trunc-cap", "0"],
@@ -397,9 +401,10 @@ def test_atlas_rows_and_guardrail(tmp_path, capsys):
                 if i.is_complete()]
     assert len(rows) == sum(i.r - 1 for i in complete)
     for row in rows:
-        assert row.complete
-        if row.integrally_closed:
-            assert row.prop51_diff == row.e * (row.e - 1) // 2
+        assert list(row) == ATLAS_COLUMNS
+        assert row["complete"]
+        if row["integrally_closed"]:
+            assert row["prop51_diff"] == row["e"] * (row["e"] - 1) // 2
 
     code, _out, err = run(capsys, ["atlas", "--max-a", "13", "--max-b", "4"])
     assert code == 4 and err
@@ -420,6 +425,14 @@ def test_atlas_determinism_and_formats(tmp_path, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert any(row["ideal_gens"] == [[2, 0], [1, 1], [0, 3]] for row in rows)
+
+
+def test_atlas_of_an_empty_box_is_the_header_alone(capsys):
+    code, out, err = run(capsys, ["atlas", "--max-a", "1", "--max-b", "1"])
+    assert (code, out, err) == (0, "ideal_gens,r,order,complete,e,fitting_gens,"
+                                   "integrally_closed,verdict,prop51_diff\n", "")
+    code, out, err = run(capsys, ["atlas", "--max-a", "1", "--max-b", "1", "--format", "jsonl"])
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize("fmt, digest", [
@@ -674,6 +687,18 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch, example_referen
                                input=json.dumps(obj), capture_output=True, text=True,
                                timeout=60)
         assert _run_on_stdin(argv, obj) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_global_flags_are_read_on_either_side_of_the_verb():
+    # only the top level holds the defaults; a subcommand copy that held them
+    # too would overwrite a flag written before the verb
+    m = {"gens": [[1, 0], [0, 1]]}
+    for argv, seed in ((["--seed", "5", "mult", "-"], 5), (["mult", "-", "--seed", "5"], 5),
+                       (["--seed", "5", "mult", "-", "--seed", "7"], 7), (["mult", "-"], 0)):
+        code, out, _err = _run_on_stdin(argv + ["--json"], m)
+        assert code == 0 and json.loads(out)["reduction"]["seed"] == seed, argv
+    code, out, _err = _run_on_stdin(["--json", "closure", "-"], m)
+    assert code == 0 and out == '{"complete":true,"gens":[[1,0],[0,1]],"vertices":[[1,0],[0,1]]}\n'
 
 
 @settings(max_examples=200, deadline=None)
