@@ -66,7 +66,7 @@ class BiPoly:
         return p
 
     def items(self) -> list[tuple[Monomial, int]]:
-        """Terms as stored; only to_triples and str put them in canonical order."""
+        """Terms as stored; only to_triples puts them in canonical order."""
         return list(self._terms.items())
 
     def __bool__(self) -> bool:
@@ -96,27 +96,7 @@ class BiPoly:
         return cls(((t[0], t[1]), int(t[2])) for t in triples)
 
     def __repr__(self) -> str:
-        return f"BiPoly({self})"
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mon, c in sorted(self._terms.items(), key=_term_key):
-            body = []
-            if mon.a:
-                body.append("x" if mon.a == 1 else f"x^{mon.a}")
-            if mon.b:
-                body.append("y" if mon.b == 1 else f"y^{mon.b}")
-            mag = abs(c)
-            if mag != 1 or not body:
-                body.insert(0, str(mag))
-            frag = "*".join(body)
-            if not parts:
-                parts.append(frag if c > 0 else f"-{frag}")
-            else:
-                parts.append(f"+ {frag}" if c > 0 else f"- {frag}")
-        return " ".join(parts)
+        return f"BiPoly({self.to_triples()})"
 
 
 X = BiPoly.term(1, 0)

@@ -185,8 +185,6 @@ class SplitInequality:
     lhs: int
     rhs: int
     strict: bool
-    part1_gens: tuple
-    part2_gens: tuple
 
 
 def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
@@ -220,8 +218,6 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
         lhs=lhs,
         rhs=rhs,
         strict=lhs > rhs,
-        part1_gens=tuple(b1.gens),
-        part2_gens=tuple(b2.gens),
     )
 
 

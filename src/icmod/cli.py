@@ -26,16 +26,10 @@ from .classify import (
 )
 
 ATLAS_MAX_BOUND = 12
-MAX_EXPONENT = 1000  # closure, factor, classify, audit and render work per staircase row
-# The summand audit and matrix input that is not a graded forest list minors,
-# about 2.5x as many per rank.  classify, construct and the gap-equality audit
-# take the forest DP and length lists none; all are held to the same cap.
+MAX_EXPONENT = 1000
 MAX_RANK = 6
-MAX_TRIALS = 100  # mult only
-MAX_TRUNC_CAP = 80  # a truncation at degree D has about D^2 / 2 coordinates per matrix row
-# The minor table keeps a partial minor per column set, and a truncation spans
-# every column.  The graded sweep needs neither, yet length still refuses a
-# graded matrix above the cap (open in CHANGES.md, ROADMAP item 1(b)).
+MAX_TRIALS = 100
+MAX_TRUNC_CAP = 80
 MAX_COLUMNS = 12
 
 
@@ -92,26 +86,31 @@ def _load_ideal_or_matrix(path: str):
     return staircase.from_json(obj)
 
 
-def _check_size(obj, rank: int | None = None) -> None:
-    """Refuse an ideal or matrix with an exponent, or a rank, above its guardrail."""
-    if isinstance(obj, staircase.MonomialIdeal):
-        top = max(obj.gens[0].a, obj.gens[-1].b)
-    else:
-        top = max(v for col in obj.cols for entry in col for mon, _c in entry.items() for v in mon)
-    if top > MAX_EXPONENT:
-        raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
-    if rank is not None and rank > MAX_RANK:
-        raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
+def _admit(args, obj=None, rank: int | None = None, width: int | None = None) -> None:
+    """Refuse a request above a size guardrail, checking the caps in this order:
 
-
-def _check_columns(obj) -> None:
-    if isinstance(obj, modmat.PresMatrix) and obj.ncols > MAX_COLUMNS:
-        raise BoundsTooLarge(f"matrix inputs are capped at {MAX_COLUMNS} columns")
-
-
-def _check_trunc_cap(args) -> None:
+    MAX_TRIALS: seeded trials of a sampled reduction.
+    MAX_TRUNC_CAP: truncation degree D; a truncation has about D^2 / 2 coordinates per row.
+    MAX_EXPONENT: staircase rows walked per ideal, and the degree of a matrix entry.
+    MAX_RANK: the rank e of the minors listed; off the forest DP each e lists ~2.5x as many.
+    MAX_COLUMNS: column sets of the minor table, and the columns a truncation spans.
+    """
+    if args.trials > MAX_TRIALS:
+        raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
     if args.trunc_cap > MAX_TRUNC_CAP:
         raise BoundsTooLarge(f"--trunc-cap is capped at {MAX_TRUNC_CAP}")
+    if obj is not None:
+        if isinstance(obj, staircase.MonomialIdeal):
+            top = max(obj.gens[0].a, obj.gens[-1].b)
+        else:
+            top = max(v for col in obj.cols for entry in col for mon, _c in entry.items()
+                      for v in mon)
+        if top > MAX_EXPONENT:
+            raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
+    if rank is not None and rank > MAX_RANK:
+        raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
+    if width is not None and width > MAX_COLUMNS:
+        raise BoundsTooLarge(f"matrix inputs are capped at {MAX_COLUMNS} columns")
 
 
 def _indented(obj, pad: str = "") -> str:
@@ -147,7 +146,7 @@ def _dump(obj, compact: bool) -> str:
 
 def _cmd_closure(args) -> str:
     ideal = _load_ideal(args.input)
-    _check_size(ideal)
+    _admit(args, ideal)
     if not ideal.is_m_primary:
         raise ValueError("closure needs an m-primary staircase")
     hull = ideal.newton_vertices()  # an ideal and its closure share their hull
@@ -164,7 +163,7 @@ def _cmd_closure(args) -> str:
 
 def _cmd_factor(args) -> str:
     ideal = _load_ideal(args.input)
-    _check_size(ideal)
+    _admit(args, ideal)
     fact = ideal.zariski_factor()
     return _dump(
         {"factors": [{"p": p, "q": q, "mult": m} for p, q, m in fact.factors]},
@@ -185,7 +184,7 @@ def _cmd_classify(args) -> str:
             ranks = [int(args.rank)]
         except ValueError as exc:
             raise ValueError(f"--rank must be an integer or 'all', got {args.rank!r}") from exc
-    _check_size(ideal, max(ranks))
+    _admit(args, ideal, max(ranks))
     compact = args.json or args.rank == "all"
     return "".join(_dump(classify(ideal, e).to_json(), compact) for e in ranks)
 
@@ -193,36 +192,33 @@ def _cmd_classify(args) -> str:
 def _cmd_construct(args) -> str:
     ideal = _load_ideal(args.input)
     modmat.module_spec(ideal, args.rank)  # an unmet precondition exits 2 before the guardrail
-    _check_size(ideal, args.rank)
+    _admit(args, ideal, args.rank)
     mat = modmat.build_module(ideal, args.rank)
     return _dump(mat.to_json(), args.json)
 
 
 def _cmd_length(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
-    _check_trunc_cap(args)
-    if isinstance(obj, staircase.MonomialIdeal):
+    if isinstance(obj, staircase.MonomialIdeal):  # an ideal's colength has no exponent cap
+        _admit(args)
         return _dump({"kind": "ideal", "colength": obj.colength()}, args.json)
-    _check_size(obj, obj.rank)
-    _check_columns(obj)
+    _admit(args, obj, obj.rank, obj.ncols)  # a graded matrix too, though it needs no truncation
     value = modmat.colength_module(obj, cap=args.trunc_cap)
     return _dump({"kind": "module", "colength": value}, args.json)
 
 
 def _cmd_mult(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
-    if args.trials > MAX_TRIALS:
-        raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
-    _check_trunc_cap(args)
     out: dict = {}
     if isinstance(obj, staircase.MonomialIdeal):
+        _admit(args)  # neither route has an exponent cap on an ideal
         if args.route in ("area", "both"):
             out["area"] = multiplicity.area_multiplicity(obj)
         sampler = multiplicity.reduction_multiplicity
-    elif args.route == "area":
-        raise ValueError("the area route applies to ideals, not matrices")
     else:
-        _check_size(obj, obj.rank)
+        _admit(args, obj, obj.rank)
+        if args.route == "area":
+            raise ValueError("the area route applies to ideals, not matrices")
         sampler = multiplicity.module_multiplicity
     if args.route in ("reduction", "both"):
         sample = sampler(obj, trials=args.trials, seed=args.seed, cap=args.trunc_cap)
@@ -240,12 +236,12 @@ def _cmd_audit(args) -> str:
         obj = _load_ideal(args.input)
     else:
         obj = _load_ideal_or_matrix(args.input)
-    rank = obj.rank if isinstance(obj, modmat.PresMatrix) else args.rank
-    _check_size(obj, None if args.check == "split" else rank)
-    _check_columns(obj)
-    _check_trunc_cap(args)
-    if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
-        obj = modmat.build_module(obj.normalized(), rank)
+    if isinstance(obj, modmat.PresMatrix):
+        _admit(args, obj, obj.rank, obj.ncols)
+    else:
+        _admit(args, obj, None if args.check == "split" else args.rank)
+        if args.check in ("gap-bound", "summand"):
+            obj = modmat.build_module(obj.normalized(), args.rank)
     if args.check == "gap-equality":
         rec = audit_gap_equality(obj, args.rank)
         reply = {"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}
@@ -306,7 +302,7 @@ def atlas_rows(max_a: int, max_b: int, which: str = "all") -> list[dict]:
 
 
 def _cmd_atlas(args) -> str:
-    _check_trunc_cap(args)
+    _admit(args)
     rows = atlas_rows(args.max_a, args.max_b, which=args.filter)
     if args.format == "csv":
         # generator lists encode as a:b;a:b; csv writes an absent gap as the empty cell
@@ -369,7 +365,7 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
 
 def _cmd_render(args) -> str:
     ideal = _load_ideal(args.input)
-    _check_size(ideal)
+    _admit(args, ideal)
     if not ideal.is_m_primary:
         raise ValueError("rendering needs an m-primary staircase")
     return render_svg(ideal)
@@ -380,7 +376,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="compact single-line JSON output")
     parser.add_argument("--seed", type=int,
                         help="seed for randomized reductions (default 0)")
-    parser.add_argument("--trials", type=int,
+    parser.add_argument("--trials", type=_int_at_least(2),
                         help="trials for randomized reductions (default 4)")
     parser.add_argument("--trunc-cap", type=_int_at_least(2), dest="trunc_cap",
                         help="largest truncation degree the certificates try "

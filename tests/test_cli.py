@@ -108,6 +108,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
     # flag values outside their range are refused by the parser
     for argv in (["--trunc-cap", "1", "length", path], ["mult", path, "--trunc-cap", "0"],
+                 ["closure", path, "--trials", "1"], ["mult", path, "--trials", "0"],
                  ["atlas", "--max-a", "0", "--max-b", "4"],
                  ["atlas", "--max-a", "4", "--max-b", "-1"]):
         code, out, err = run(capsys, argv)
@@ -133,6 +134,13 @@ def test_unit_fitting_ideal_is_a_result(tmp_path, capsys):
                                              "ord_ge_rank_plus_1": False}
     code, out, _err = run(capsys, ["audit", "--check", "gap-bound", str(path)])
     assert code == 0 and json.loads(out)["diff"] == 0
+
+
+# every verb that reads an input, with the flags that make an ideal input admissible
+_INPUT_VERBS = ([["closure"], ["factor"], ["classify"], ["construct", "--rank", "2"], ["render"],
+                 ["length"], ["mult"]]
+                + [["audit", "--check", check, "--part1", "0"]
+                   for check in ("gap-equality", "gap-bound", "split", "summand")])
 
 
 def test_size_guardrails_exit_4(tmp_path, capsys):
@@ -183,7 +191,7 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
             else:
                 assert code == 4 and not out and "capped" in err, verb
 
-    # --trunc-cap is checked after the input is read, so malformed input still exits 2
+    # the flag caps are checked after the input is read, so malformed input still exits 2
     pure = ic.canonicalize([(8, 0), (0, 8)])
     mat = tmp_path / "pure.json"
     mat.write_text(json.dumps(ic.from_ideal(pure).to_json()))
@@ -196,9 +204,10 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
                  ["atlas", "--max-a", "2", "--max-b", "2"]):
         code, out, err = run(capsys, argv + over)
         assert code == 4 and not out and "capped" in err, argv
-    for verb in (["length"], ["mult"], ["audit", "--check", "gap-bound"]):
-        code, out, _err = run(capsys, verb + [str(bad)] + over)
-        assert code == 2 and not out, verb
+    for verb in _INPUT_VERBS:
+        for flag in (over, ["--trials", str(MAX_TRIALS + 1)]):
+            code, out, _err = run(capsys, verb[:1] + [str(bad)] + verb[1:] + flag)
+            assert code == 2 and not out, verb + flag
     code, out, _err = run(capsys, ["length", str(mat), "--trunc-cap", str(MAX_TRUNC_CAP)])
     assert code == 0 and json.loads(out)["colength"] == 64
 
@@ -721,6 +730,18 @@ def _matrix(rank, ncols, top=2):
     return {"rank": rank, "cols": [[[[top, 1, 1]]] * rank] * ncols}
 
 
+# requests that exit 0: each verb on (x, y^k)^2, which meets every precondition (the
+# split audit's included), the matrix verbs on a module, and atlas
+_admissible = st.one_of(
+    st.tuples(st.sampled_from(_INPUT_VERBS),
+              st.integers(2, 6).map(lambda k: ic.canonicalize([(2, 0), (1, k), (0, 2 * k)])
+                                    .to_json())),
+    st.tuples(st.sampled_from([["length"], ["mult"], ["audit", "--check", "gap-bound"],
+                               ["audit", "--check", "summand"]]),
+              st.integers(2, 6).map(
+                  lambda k: ic.build_module(ic.maximal_ideal_power(k), 2).to_json())),
+    st.tuples(st.just(["atlas", "--max-a", "2", "--max-b", "2"]), st.none()),  # reads no input
+)
 # each request is well formed and one step past exactly one guardrail
 _just_above = st.one_of(
     st.tuples(st.sampled_from([["closure"], ["factor"], ["classify"], ["render"],
@@ -745,12 +766,10 @@ _just_above = st.one_of(
     st.tuples(st.sampled_from([["length"], ["audit", "--check", "gap-bound"],
                                ["audit", "--check", "summand"]]),
               st.integers(1, MAX_RANK).map(lambda e: _matrix(e, MAX_COLUMNS + 1))),
-    st.tuples(st.sampled_from([["length", "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
-                               ["mult", "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
-                               ["audit", "--check", "gap-equality",
-                                "--trunc-cap", str(MAX_TRUNC_CAP + 1)],
-                               ["mult", "--trials", str(MAX_TRIALS + 1)]]),
-              st.integers(1, 6).map(lambda k: ic.maximal_ideal_power(k).to_json())),
+    # a flag cap binds every verb: admissible input plus one flag above its cap
+    st.builds(lambda request, flag: (request[0] + flag, request[1]), _admissible,
+              st.sampled_from([["--trunc-cap", str(MAX_TRUNC_CAP + 1)],
+                               ["--trials", str(MAX_TRIALS + 1)]])),
 )
 
 
@@ -759,6 +778,7 @@ _just_above = st.one_of(
 def test_cli_exits_4_at_once_just_above_each_guardrail(request):
     verb, obj = request
     start = time.perf_counter()
-    code, out, err = _run_on_stdin(verb[:1] + ["-"] + verb[1:], obj)
+    argv = verb if obj is None else verb[:1] + ["-"] + verb[1:]
+    code, out, err = _run_on_stdin(argv, obj)
     assert code == 4 and not out and "capped" in err, (verb, obj, err)
     assert time.perf_counter() - start < 1.0, verb

@@ -93,3 +93,43 @@ def test_only_the_reply_writer_touches_stdout():
         "sys.stdout in g"]
     for path in sorted(SRC.glob("*.py")):
         assert stdout_uses(path.read_text()) == [], path.name
+
+
+def admission_faults(source: str) -> list[str]:
+    """Where the CLI strays from one admission check per verb: a `_cmd_*`
+    function that never calls `_admit`, and a `raise BoundsTooLarge` outside
+    `_admit` and `atlas_rows`, named by the function it is in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+            if where.startswith("_cmd_") and not any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "_admit" for call in ast.walk(node)):
+                found.append(f"no _admit in {where}")
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(exc, ast.Name) and exc.id == "BoundsTooLarge"
+                    and where not in ("_admit", "atlas_rows")):
+                found.append(f"raise BoundsTooLarge in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_every_verb_admits_its_request_in_one_place():
+    # the size caps live in _admit (and the atlas box in atlas_rows); a verb that
+    # skipped it, or kept a cap of its own, would bind a flag on some verbs only
+    assert admission_faults("def _cmd_x(args):\n    _admit(args)\n") == []
+    assert admission_faults("def _cmd_x(args):\n    return 1\n") == ["no _admit in _cmd_x"]
+    assert admission_faults("def _cmd_x(args):\n    _admit(args)\n    raise BoundsTooLarge('c')\n"
+                            ) == ["raise BoundsTooLarge in _cmd_x"]
+    assert admission_faults("def _admit(a):\n    raise BoundsTooLarge('c')\n") == []
+    assert admission_faults("def atlas_rows(a):\n    raise BoundsTooLarge\n") == []
+    assert admission_faults("raise BoundsTooLarge\n") == ["raise BoundsTooLarge in <module>"]
+    source = (SRC / "cli.py").read_text()
+    assert "def _cmd_atlas(" in source
+    assert admission_faults(source) == []
