@@ -17,7 +17,6 @@ from .classify import (
     classify,
 )
 from .modmat import (
-    ModuleSpec,
     NegativeExponent,
     NonMonomialIdeal,
     NotFiniteColength,

@@ -15,6 +15,7 @@ from .algebra import Monomial
 from .modmat import (
     DEFAULT_CAP,
     NegativeExponent,
+    NonMonomialIdeal,
     PresMatrix,
     RankOutOfRange,
     build_module,
@@ -112,7 +113,7 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
         )
     fit = fitting_ideal(mat, rank)
     if fit != closed_form_fitting(work, rank):
-        raise RuntimeError("minor ideal disagrees with its closed form")
+        raise NonMonomialIdeal("minor ideal disagrees with its closed form")
     notes.append("closed_form_match")
     closure = fit.integral_closure()
     complete = fit == closure

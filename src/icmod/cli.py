@@ -147,8 +147,6 @@ def _dump(obj, compact: bool) -> str:
 def _cmd_closure(args) -> str:
     ideal = _load_ideal(args.input)
     _admit(args, ideal)
-    if not ideal.is_m_primary:
-        raise ValueError("closure needs an m-primary staircase")
     hull = ideal.newton_vertices()  # an ideal and its closure share their hull
     closed = hull.closure()
     return _dump(
@@ -173,8 +171,7 @@ def _cmd_factor(args) -> str:
 
 def _cmd_classify(args) -> str:
     ideal = _load_ideal(args.input)
-    if not ideal.is_m_primary:
-        raise ValueError("classification needs an m-primary staircase")
+    ideal.require_primary()  # classify would report it as a verdict, not refuse it
     if args.rank == "all":
         ranks = list(range(2, ideal.r + 1))
         if not ranks:
@@ -366,8 +363,6 @@ def render_svg(ideal: staircase.MonomialIdeal) -> str:
 def _cmd_render(args) -> str:
     ideal = _load_ideal(args.input)
     _admit(args, ideal)
-    if not ideal.is_m_primary:
-        raise ValueError("rendering needs an m-primary staircase")
     return render_svg(ideal)
 
 

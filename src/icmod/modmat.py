@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
-from .staircase import MonomialIdeal, NotPrimary, canonicalize, minimal_pairs
+from .staircase import MonomialIdeal, canonicalize, minimal_pairs
 
 DEFAULT_CAP = 64  # largest truncation degree the Nakayama certificates try by default
 
@@ -37,7 +37,7 @@ class NotNormalized(ValueError):
 
 
 class NonMonomialIdeal(RuntimeError):
-    """Minor ideal could not be certified monomial."""
+    """Minor ideal could not be certified."""
 
 
 class NotFiniteColength(RuntimeError):
@@ -46,14 +46,6 @@ class NotFiniteColength(RuntimeError):
 
 class AbortColength(Exception):
     """Partial colength already exceeded the caller's threshold."""
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    """Shifted exponent data defining the rank-e module of a staircase."""
-
-    aprime: tuple[int, ...]
-    c: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -117,9 +109,10 @@ def matrix_from_json(obj) -> PresMatrix:
     return PresMatrix(rank, tuple(cols))
 
 
-def module_spec(ideal: MonomialIdeal, rank: int) -> ModuleSpec:
-    if not ideal.is_m_primary:
-        raise NotPrimary("construction needs an m-primary staircase")
+def module_spec(ideal: MonomialIdeal, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shifted exponents (aprime, c) of the rank-e module; raises NotPrimary,
+    RankOutOfRange, NotNormalized or NegativeExponent where the construction fails."""
+    ideal.require_primary()
     r = ideal.r
     if not 2 <= rank <= r:
         raise RankOutOfRange(f"rank must lie in 2..{r}, got {rank}")
@@ -132,7 +125,7 @@ def module_spec(ideal: MonomialIdeal, rank: int) -> ModuleSpec:
     if aprime[-1] < 0:
         raise NegativeExponent(f"shifted exponent {aprime[-1]} is negative")
     c = tuple(gens[r - rank + 1 + i].b - i for i in range(1, rank))
-    return ModuleSpec(aprime, c)
+    return aprime, c
 
 
 def build_module(ideal: MonomialIdeal, rank: int) -> PresMatrix:
@@ -142,12 +135,12 @@ def build_module(ideal: MonomialIdeal, rank: int) -> PresMatrix:
     two-term band shifting each basis vector into the next, and the pure
     y-power columns closing the band.
     """
-    spec = module_spec(ideal, rank)
+    aprime, c = module_spec(ideal, rank)
     e = rank
     gens = ideal.gens
     zero = BiPoly.zero()
     cols: list[tuple[BiPoly, ...]] = []
-    for i, ap in enumerate(spec.aprime):
+    for i, ap in enumerate(aprime):
         col = [zero] * e
         col[0] = BiPoly.term(ap, gens[i].b)
         cols.append(tuple(col))
@@ -158,7 +151,7 @@ def build_module(ideal: MonomialIdeal, rank: int) -> PresMatrix:
         cols.append(tuple(col))
     for i in range(1, e):
         col = [zero] * e
-        col[i] = BiPoly.term(0, spec.c[i - 1])
+        col[i] = BiPoly.term(0, c[i - 1])
         cols.append(tuple(col))
     return PresMatrix(e, tuple(cols))
 
@@ -315,11 +308,11 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
 
 
 def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
-    """Monomial ideal the maximal minors must generate, from the shifted data."""
-    spec = module_spec(ideal, rank)
+    """Monomial ideal the maximal minors must generate, read off the staircase."""
+    module_spec(ideal, rank)  # refuses what the construction refuses
     gens = list(ideal.gens[: ideal.r - rank + 2])
-    for i in range(1, rank):
-        gens.append(Monomial(rank - 1 - i, spec.c[i - 1] + i))
+    for i in range(1, rank):  # x^(e-1-i) y^(c[i-1]+i), and c[i-1] + i is b of gens[r-e+1+i]
+        gens.append(Monomial(rank - 1 - i, ideal.gens[ideal.r - rank + 1 + i].b))
     return canonicalize(gens)
 
 

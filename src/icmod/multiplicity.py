@@ -161,8 +161,7 @@ def reduction_multiplicity(ideal: MonomialIdeal, trials: int = 4, seed: int = 0,
     Each trial draws two integer combinations of the staircase generators and
     measures the colength of the ideal they span.
     """
-    if not ideal.is_m_primary:
-        raise ValueError("reduction sampling needs an m-primary ideal")
+    ideal.require_primary()
     return module_multiplicity(from_ideal(ideal), trials, seed, cap)
 
 

@@ -133,7 +133,8 @@ class MonomialIdeal:
         """m-primary with the pure x power not exceeding the pure y power."""
         return self.is_m_primary and self.gens[0].a <= self.gens[-1].b
 
-    def _require_primary(self) -> None:
+    def require_primary(self) -> None:
+        """Raise NotPrimary, naming the generators, unless both axes carry a generator."""
         if not self.is_m_primary:
             raise NotPrimary(f"ideal {self.to_pairs()} is not m-primary")
 
@@ -150,7 +151,7 @@ class MonomialIdeal:
 
     def order(self) -> int:
         """Largest n with the ideal inside the n-th power of the maximal ideal."""
-        self._require_primary()
+        self.require_primary()
         return min(g.a + g.b for g in self.gens)
 
     def mu(self) -> int:
@@ -159,7 +160,7 @@ class MonomialIdeal:
 
     def colength(self) -> int:
         """Number of lattice points below the staircase."""
-        self._require_primary()
+        self.require_primary()
         total = 0
         for i in range(len(self.gens) - 1):
             total += self.gens[i].a * (self.gens[i + 1].b - self.gens[i].b)
@@ -181,7 +182,7 @@ class MonomialIdeal:
 
     def newton_vertices(self) -> NewtonHull:
         """Lower-left convex hull vertices of the generator exponents."""
-        self._require_primary()
+        self.require_primary()
         chain: list[Monomial] = []
         for p in self.gens:  # already sorted with a strictly decreasing
             while len(chain) >= 2:

@@ -97,6 +97,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, verb + [str(unit)])
         assert code == 2 and not out and err, verb
 
+    # a staircase off an axis gets the staircase's own message on every verb that reads
+    # an ideal; the split audit states its hypothesis instead
+    off_axis = tmp_path / "off_axis.json"
+    off_axis.write_text(json.dumps({"gens": [[3, 1], [1, 2], [0, 4]]}))
+    for verb in _INPUT_VERBS + [["classify", "--rank", "2"], ["mult", "--route", "area"],
+                                ["mult", "--route", "reduction"]]:
+        code, out, err = run(capsys, verb[:1] + [str(off_axis)] + verb[1:])
+        reason = ("ideal must be m-primary and complete" if "split" in verb
+                  else "ideal [[3, 1], [1, 2], [0, 4]] is not m-primary")
+        assert (code, out, err) == (2, "", f"error: {reason}\n"), verb
+
     # with two generators there is no rank 2..r to classify
     path = write_ideal(tmp_path, ic.maximal_ideal())
     code, out, err = run(capsys, ["classify", path])
@@ -501,6 +512,15 @@ def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, c
     assert code == 3 and not out
     assert err == ("error: NonMonomialIdeal: minor term x^1 y^3 is not reducible by the "
                    "candidate ideal\n")
+
+
+def test_a_closed_form_disagreement_exits_3(tmp_path, capsys, monkeypatch, showcase_a):
+    # icmod.classify names the function, so its module is reached through sys.modules
+    monkeypatch.setattr(sys.modules["icmod.classify"], "closed_form_fitting",
+                        lambda _ideal, _rank: ic.maximal_ideal())
+    code, out, err = run(capsys, ["classify", write_ideal(tmp_path, showcase_a), "--rank", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: NonMonomialIdeal: minor ideal disagrees with its closed form\n"
 
 
 def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):

@@ -133,3 +133,36 @@ def test_every_verb_admits_its_request_in_one_place():
     source = (SRC / "cli.py").read_text()
     assert "def _cmd_atlas(" in source
     assert admission_faults(source) == []
+
+
+def bare_raises(source: str) -> list[str]:
+    """Where a module raises `RuntimeError` or `Exception` itself, which `cli.main`
+    maps to no exit code, named by the function it is in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "Exception"):
+                found.append(f"raise {exc.id} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_no_module_raises_a_bare_runtime_error_or_exception():
+    # a library failure raises a named class, so the CLI can give it an exit code
+    assert bare_raises("def f(x):\n    if x:\n        raise RuntimeError("
+                       "'minor ideal disagrees with its closed form')\n") == [
+        "raise RuntimeError in f"]
+    assert bare_raises("raise Exception\n") == ["raise Exception in <module>"]
+    assert bare_raises("def g():\n    raise NonMonomialIdeal('x')\n") == []
+    assert bare_raises("class E(RuntimeError):\n    pass\n") == []
+    assert bare_raises("def h():\n    try:\n        pass\n    except ValueError:\n"
+                       "        raise\n") == []
+    for path in sorted(SRC.glob("*.py")):
+        assert bare_raises(path.read_text()) == [], path.name

@@ -55,11 +55,11 @@ def test_build_errors(showcase_a):
 
 
 def test_module_spec_invariants(showcase_b):
-    spec = ic.module_spec(showcase_b, 4)
-    assert list(spec.aprime) == sorted(spec.aprime, reverse=True)
-    assert spec.aprime[-1] >= 0
-    assert list(spec.c) == sorted(spec.c)
-    assert spec.c[0] >= showcase_b.gens[showcase_b.r - 4 + 1].b
+    aprime, c = ic.module_spec(showcase_b, 4)
+    assert list(aprime) == sorted(aprime, reverse=True)
+    assert aprime[-1] >= 0
+    assert list(c) == sorted(c)
+    assert c[0] >= showcase_b.gens[showcase_b.r - 4 + 1].b
 
 
 def test_minors_counts_and_band_recursion(showcase_a):
@@ -352,6 +352,34 @@ def test_truncation_cap_is_itself_tried():
     # graded input is summed over its degree grid, so the cap does not bind it
     assert ic.colength_module(pure, cap=14) == 64
     assert ic.mu_module(PresMatrix(1, pure.cols + pure.cols[:1]), cap=14) == 2
+
+
+@st.composite
+def abort_matrices(draw):
+    """A small m-primary ideal with r >= 2 as a rank-one matrix, or its rank-2 module."""
+    a, b = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    inner = st.lists(st.tuples(st.integers(1, a - 1), st.integers(1, b - 1)), min_size=1,
+                     max_size=3)
+    ideal = ic.canonicalize([(a, 0), (0, b)] + draw(inner)).normalized()
+    return ic.build_module(ideal, 2) if draw(st.booleans()) else ic.from_ideal(ideal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(abort_matrices())
+def test_early_abort_never_changes_a_colength_it_returns(mat):
+    # the reduction sampler passes its best value so far as abort_above; a threshold
+    # at or above the colength L must give the unaborted answer, and 0 must abort
+    length, degree = certified_colength(mat, DEFAULT_CAP)
+    assert length >= 1
+    for k in range(length, length + 3):
+        assert certified_colength(mat, DEFAULT_CAP, abort_above=k) == (length, degree)
+    with pytest.raises(modmat.AbortColength):
+        certified_colength(mat, DEFAULT_CAP, abort_above=0)
+    for k in range(1, length):
+        try:
+            assert certified_colength(mat, DEFAULT_CAP, abort_above=k) == (length, degree)
+        except modmat.AbortColength:
+            pass
 
 
 # ---------------------------------------------------------------------------
