@@ -6,16 +6,17 @@ and measures colengths and minimal generator counts with two engines.  A
 Z^2-graded matrix (every entry a single term, and row and column degrees
 that fit every entry; build_module, from_ideal and direct_sum all give one)
 gets exact sums over the grid of its row and column degrees, with no
-truncation and no cap.  Any other matrix, such as a sampled
-reduction, gets truncated linear algebra with a Nakayama stopping
-certificate, run by one truncation builder over one degree sequence that ends
-at the cap.  Pure computation throughout; the minor sweep and the spans are
-deterministic regardless of evaluation order.
+truncation and no cap; build_module attaches its grading in closed form, and
+a walk over the row/column graph finds the grading of every other matrix.  An
+ungraded matrix, such as a sampled reduction, gets truncated linear algebra
+with a Nakayama stopping certificate, run by one truncation builder over one
+degree sequence that ends at the cap.  Pure computation throughout; the
+minor sweep and the spans are deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
@@ -54,6 +55,8 @@ class PresMatrix:
 
     rank: int
     cols: tuple[tuple[BiPoly, ...], ...]
+    # build_module's closed-form grading, in _grading's form; not part of the value
+    _built_grading: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 0:
@@ -137,23 +140,34 @@ def build_module(ideal: MonomialIdeal, rank: int) -> PresMatrix:
     """
     aprime, c = module_spec(ideal, rank)
     e = rank
-    gens = ideal.gens
     zero = BiPoly.zero()
-    cols: list[tuple[BiPoly, ...]] = []
-    for i, ap in enumerate(aprime):
+    # each column's degree and coefficient vector as _grading would find them:
+    # e_i has degree (-i, i), and the walk is the band path from row 0
+    cols, col_deg, vecs = [], [], []
+    for ap, g in zip(aprime, ideal.gens):
         col = [zero] * e
-        col[0] = BiPoly.term(ap, gens[i].b)
+        col[0] = BiPoly.term(ap, g.b)
         cols.append(tuple(col))
+        col_deg.append((ap, g.b))
+        vecs.append([(0, 1)])
     for i in range(1, e):
         col = [zero] * e
         col[i - 1] = Y
         col[i] = X
         cols.append(tuple(col))
+        col_deg.append((1 - i, i))
+        vecs.append([(i - 1, 1), (i, 1)])
     for i in range(1, e):
         col = [zero] * e
         col[i] = BiPoly.term(0, c[i - 1])
         cols.append(tuple(col))
-    return PresMatrix(e, tuple(cols))
+        col_deg.append((-i, i + c[i - 1]))
+        vecs.append([(i, 1)])
+    mat = PresMatrix(e, tuple(cols))
+    n = len(aprime)
+    walk = [(0, -1, -1)] + [(i, i - 1, n + i - 1) for i in range(1, e)]
+    object.__setattr__(mat, "_built_grading", ([(-i, i) for i in range(e)], col_deg, vecs, walk))
+    return mat
 
 
 def from_ideal(ideal: MonomialIdeal) -> PresMatrix:
@@ -281,11 +295,12 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
 
     Maximal minors (t the rank) of a graded forest presentation, which
     build_module, from_ideal and direct_sum give, come from a tree DP over
-    the grading walk (_forest_fitting) with no minor listed.  Otherwise the
-    candidate is generated by the one-term minors of the table (signs
-    dropped), each of which is then divisible by a candidate generator; the
-    certificate checks that every term of every minor with two or more terms
-    is too, in canonical term order.  Refuses with NonMonomialIdeal otherwise,
+    the grading walk (_forest_fitting) with no minor listed: build_module's
+    attached walk, or the one _grading finds.  Otherwise the candidate is
+    generated by the one-term minors of the table (signs dropped), each of
+    which is then divisible by a candidate generator; the certificate checks
+    that every term of every minor with two or more terms is too, in
+    canonical term order.  Refuses with NonMonomialIdeal otherwise,
     so callers never reason about an uncertified monomial structure.
     """
     if t == mat.rank > 0:
@@ -323,16 +338,21 @@ def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
 def _grading(mat: PresMatrix):
     """Row degrees, column degrees, column coefficient vectors and the walk, or None.
 
-    A single-term entry c x^a y^b in row i and column j ties the degrees
-    together: delta_j = w_i + (a, b).  One walk over the row/column graph fixes
-    every degree from one root row per connected component, put at (0, 0); a
-    row with no entries is a component of its own.  The matrix is not graded
-    when an entry has two or more terms or when two entries of a column give
-    it two different degrees.  The vector of column j lists its
-    (row, coefficient) pairs.  The walk lists every row once, as (row, parent
-    row or -1 for a root, column it was reached by or -1), in placement
-    order: each row after its parent, each component after the one before.
+    A matrix from build_module carries them in closed form, and they are
+    returned as they are; every other matrix (matrix JSON, from_ideal,
+    direct_sum) is walked.  A single-term entry c x^a y^b in row i and column
+    j ties the degrees together: delta_j = w_i + (a, b).  One walk over the
+    row/column graph fixes every degree from one root row per connected
+    component, put at (0, 0); a row with no entries is a component of its
+    own.  The matrix is not graded when an entry has two or more terms or
+    when two entries of a column give it two different degrees.  The vector
+    of column j lists its (row, coefficient) pairs.  The walk lists every row
+    once, as (row, parent row or -1 for a root, column it was reached by or
+    -1), in placement order: each row after its parent, each component after
+    the one before.
     """
+    if mat._built_grading is not None:
+        return mat._built_grading
     e = mat.rank
     col_terms = []
     row_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(e)]
@@ -516,8 +536,9 @@ def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
 
     A graded matrix (every entry a single term, with row and column degrees
     that agree, as for build_module, from_ideal and direct_sum) gets the exact
-    sum over the degree grid, with no cap; a nonzero piece on an unbounded
-    cell raises NotFiniteColength.  Any other matrix goes to
+    sum over the degree grid, with no cap (build_module's grading comes
+    attached, and any other is walked); a nonzero piece on an unbounded cell
+    raises NotFiniteColength.  Any other matrix goes to
     certified_colength, whose truncation degrees stop at the cap.
     """
     graded = _grading(mat)

@@ -382,7 +382,8 @@ def test_construct_and_length_commands(tmp_path, capsys, showcase_a):
     matpath = tmp_path / "mat.json"
     matpath.write_text(out)
     code, out, _ = run(capsys, ["length", str(matpath)])
-    assert json.loads(out) == {"kind": "module", "colength": 17}
+    # the JSON copy walks to the grading that build_module attaches, and gives the same bytes
+    assert out == '{\n  "colength": 17,\n  "kind": "module"\n}\n'
 
     code, out, _ = run(capsys, ["length", path])
     assert json.loads(out) == {"kind": "ideal", "colength": 23}

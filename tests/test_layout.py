@@ -166,3 +166,47 @@ def test_no_module_raises_a_bare_runtime_error_or_exception():
                        "        raise\n") == []
     for path in sorted(SRC.glob("*.py")):
         assert bare_raises(path.read_text()) == [], path.name
+
+
+def grading_attachments(source: str) -> list[str]:
+    """Where a module attaches a closed-form grading to a matrix: an assignment
+    to `._built_grading`, or a `setattr` or `__setattr__` call naming it, named
+    by the function it is in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "_built_grading" for t in targets):
+            found.append(f"attach in {where}")
+        if (isinstance(node, ast.Call)
+                and ((isinstance(node.func, ast.Name) and node.func.id == "setattr")
+                     or (isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"))
+                and any(isinstance(arg, ast.Constant) and arg.value == "_built_grading"
+                        for arg in node.args)):
+            found.append(f"attach in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_build_module_attaches_a_grading():
+    # the equivalence test ties build_module's closed form to the walk; a
+    # closed form attached anywhere else would serve the engines untested
+    assert grading_attachments("def f(m):\n    object.__setattr__(m, '_built_grading', g)\n"
+                               ) == ["attach in f"]
+    assert grading_attachments("def g(m):\n    setattr(m, '_built_grading', 1)\n") == [
+        "attach in g"]
+    assert grading_attachments("m._built_grading = None\n") == ["attach in <module>"]
+    assert grading_attachments("class P:\n    _built_grading: tuple = None\n") == []
+    assert grading_attachments("def h(m):\n    return m._built_grading\n") == []
+    found = {path.name: grading_attachments(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: where for name, where in found.items() if where} == {
+        "modmat.py": ["attach in build_module"]}

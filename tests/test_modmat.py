@@ -149,6 +149,7 @@ def forest_fitting(mat):
 
 
 def test_forest_fitting_matches_minor_table_on_box_slice():
+    # the DP runs on build_module's attached grading, which the test below ties to the walk
     for ideal, e in _box_slice():
         mat = ic.build_module(ideal, e)
         assert forest_fitting(mat) == table_fitting(mat), (ideal.to_pairs(), e)
@@ -530,9 +531,26 @@ def _box_slice():
 
 
 def test_graded_engine_matches_truncation_on_box_slice():
+    # the sweep runs on build_module's attached grading, which the test below ties to the walk
     for ideal, e in _box_slice():
         mat = ic.build_module(ideal, e)
         assert graded_values(mat) == truncation_values(mat, DEFAULT_CAP), (ideal.to_pairs(), e)
+
+
+def test_built_modules_carry_the_grading_the_walk_finds():
+    # the same columns without the attachment are walked
+    pairs = _box_slice() + list(_sweep_pairs(6))
+    for ideal, e in pairs:
+        mat = ic.build_module(ideal, e)
+        graded = _grading(mat)
+        assert graded is mat._built_grading
+        assert graded == _grading(PresMatrix(mat.rank, mat.cols)), (ideal.to_pairs(), e)
+    assert len(pairs) == 5932 + 1328
+    # every other constructor leaves the grading to the walk
+    one = ic.from_ideal(ic.maximal_ideal_power(2))
+    both = ic.direct_sum(ic.build_module(ic.maximal_ideal_power(3), 2), one)
+    assert one._built_grading is None and both._built_grading is None
+    assert _grading(one) is not None and _grading(both) is not None
 
 
 @st.composite
@@ -622,7 +640,10 @@ def test_direct_sum(showcase_a):
 def test_matrix_json_roundtrip(showcase_b):
     mat = ic.build_module(showcase_b, 3)
     again = ic.matrix_from_json(mat.to_json())
-    assert again == mat
+    assert again == mat and hash(again) == hash(mat) and repr(again) == repr(mat)
+    # the attached grading is no part of the value: the JSON copy has none and walks to it
+    assert again._built_grading is None and _grading(again) == _grading(mat)
+    assert again.to_json() == mat.to_json()
     with pytest.raises(ValueError):
         ic.matrix_from_json({"rank": 2})
     with pytest.raises(ValueError):
