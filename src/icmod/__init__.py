@@ -54,7 +54,6 @@ from .staircase import (
     enumerate_complete_staircases,
     enumerate_staircases,
     from_json,
-    maximal_ideal,
     maximal_ideal_power,
     simple_closure,
 )

@@ -16,6 +16,7 @@ from .modmat import (
     DEFAULT_CAP,
     NegativeExponent,
     NonMonomialIdeal,
+    NotFiniteColength,
     PresMatrix,
     RankOutOfRange,
     build_module,
@@ -162,6 +163,14 @@ def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> GapEquality:
     return GapEquality(lhs=lhs, expected=expected, passed=lhs == expected)
 
 
+def _finite_fitting(mat: PresMatrix) -> MonomialIdeal:
+    """I_e(M), certified; the module has finite length iff it is m-primary (Fitting)."""
+    fit = fitting_ideal(mat, mat.rank)
+    if not fit.is_m_primary:
+        raise NotFiniteColength(f"minor ideal {fit.to_pairs()} is not m-primary: infinite length")
+    return fit
+
+
 @dataclass(frozen=True)
 class GapBound:
     diff: int
@@ -176,7 +185,7 @@ def audit_gap_bound(mat: PresMatrix, cap: int = DEFAULT_CAP) -> GapBound:
     or a direct sum of complete ideals); this audit just measures the gap.
     """
     rank = mat.rank
-    diff = fitting_ideal(mat, rank).colength() - colength_module(mat, cap)
+    diff = _finite_fitting(mat).colength() - colength_module(mat, cap)
     bound = rank * (rank - 1) // 2
     return GapBound(diff=diff, bound=bound, passed=diff >= bound)
 
@@ -195,11 +204,9 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
     x^(r-1)y outside; part1 picks a proper nonempty subset of the expanded
     factor list and the complement forms the second block.
     """
-    if not ideal.is_m_primary:
-        raise HypothesisViolated("ideal must be m-primary and complete")
     try:
         factors = ideal.zariski_factor().expand()
-    except NotComplete as exc:
+    except (NotPrimary, NotComplete) as exc:
         raise HypothesisViolated("ideal must be m-primary and complete") from exc
     if len(factors) < 2:
         raise HypothesisViolated("ideal is simple; no proper split exists")
@@ -236,7 +243,7 @@ def audit_summand_hypotheses(mat: PresMatrix) -> SummandHypotheses:
     e = mat.rank
     if e < 2:
         raise ValueError("hypothesis audit needs rank at least 2")
-    fit = fitting_ideal(mat, e)
+    fit = _finite_fitting(mat)
     next_fit = fitting_ideal(mat, e - 1)
     return SummandHypotheses(
         ord_ge_rank_plus_1=fit.order() >= e + 1,

@@ -120,7 +120,7 @@ def module_spec(ideal: MonomialIdeal, rank: int) -> tuple[tuple[int, ...], tuple
     if not 2 <= rank <= r:
         raise RankOutOfRange(f"rank must lie in 2..{r}, got {rank}")
     gens = ideal.gens
-    if gens[0].a > gens[-1].b:
+    if not ideal.is_normalized:
         raise NotNormalized(
             "pure x power exceeds pure y power; swap_axes gives the normalized form"
         )

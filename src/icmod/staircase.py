@@ -202,10 +202,6 @@ class MonomialIdeal:
         """True when the ideal equals its integral closure."""
         return self == self.integral_closure()
 
-    def is_contracted_numeric(self) -> bool:
-        """Numeric contraction test: generator count equals order plus one."""
-        return self.mu() == self.order() + 1
-
     def zariski_factor(self) -> SimpleFactorization:
         """Coprime closure blocks, one per edge of the hull whose closure must equal the ideal."""
         hull = self.newton_vertices()
@@ -264,10 +260,6 @@ def from_json(obj) -> MonomialIdeal:
         # the unit ideal passes is_m_primary (it touches both axes) but is not proper
         raise NotPrimary("the unit ideal is not a proper ideal, so it is not m-primary")
     return ideal
-
-
-def maximal_ideal() -> MonomialIdeal:
-    return canonicalize([(1, 0), (0, 1)])
 
 
 def maximal_ideal_power(n: int) -> MonomialIdeal:

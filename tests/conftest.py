@@ -110,6 +110,11 @@ def rectangle_witness(ideal: ic.MonomialIdeal, closure: ic.MonomialIdeal):
     return best
 
 
+def is_contracted_numeric(ideal: ic.MonomialIdeal) -> bool:
+    """Numeric contraction test: generator count equals order plus one."""
+    return len(ideal.gens) == min(g.a + g.b for g in ideal.gens) + 1
+
+
 def P(*terms) -> ic.BiPoly:
     """Polynomial from (a, b, coefficient) triples; repeated monomials add up."""
     return ic.BiPoly(((a, b), c) for a, b, c in terms)

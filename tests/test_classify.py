@@ -58,7 +58,7 @@ def test_classify_construction_failure(showcase_b):
     v = ic.classify(showcase_b, 9)
     assert not v.construction_ok
     assert "RankOutOfRange" in v.reason
-    v = ic.classify(ic.maximal_ideal(), 2)
+    v = ic.classify(ic.maximal_ideal_power(1), 2)
     assert not v.construction_ok
 
 
@@ -95,7 +95,7 @@ def test_audit_gap_equality_precondition(remark_counterexample):
 
 def test_audit_gap_bound_examples(example_reference, showcase_b):
     mat = ic.direct_sum(ic.from_ideal(example_reference),
-                        ic.from_ideal(ic.maximal_ideal()))
+                        ic.from_ideal(ic.maximal_ideal_power(1)))
     rec = ic.audit_gap_bound(mat)
     assert rec.passed and rec.diff >= 1 and rec.bound == 1
 
@@ -135,15 +135,15 @@ def test_audit_summand_hypotheses_examples(showcase_a, showcase_b):
     assert rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
     rec = ic.audit_summand_hypotheses(ic.build_module(showcase_b, 5))
     assert not rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
-    pair = ic.direct_sum(ic.from_ideal(ic.maximal_ideal()),
-                         ic.from_ideal(ic.maximal_ideal()))
+    pair = ic.direct_sum(ic.from_ideal(ic.maximal_ideal_power(1)),
+                         ic.from_ideal(ic.maximal_ideal_power(1)))
     rec = ic.audit_summand_hypotheses(pair)
     assert not rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
     # a constant entry splits off a free summand: the 1-minors generate the unit ideal
     x, y, one, zero = (ic.BiPoly.term(1, 0), ic.BiPoly.term(0, 1), ic.BiPoly.term(0, 0),
                        ic.BiPoly.zero())
     free = ic.PresMatrix(2, ((one, zero), (zero, x), (zero, y)))
-    assert ic.fitting_ideal(free, 2) == ic.maximal_ideal()
+    assert ic.fitting_ideal(free, 2) == ic.maximal_ideal_power(1)
     rec = ic.audit_summand_hypotheses(free)
     assert not rec.ord_ge_rank_plus_1 and not rec.next_fitting_closure_is_m_power
 

@@ -109,7 +109,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {reason}\n"), verb
 
     # with two generators there is no rank 2..r to classify
-    path = write_ideal(tmp_path, ic.maximal_ideal())
+    path = write_ideal(tmp_path, ic.maximal_ideal_power(1))
     code, out, err = run(capsys, ["classify", path])
     assert code == 2 and not out and err
 
@@ -222,7 +222,7 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
     code, out, _err = run(capsys, ["length", str(mat), "--trunc-cap", str(MAX_TRUNC_CAP)])
     assert code == 0 and json.loads(out)["colength"] == 64
 
-    path = write_ideal(tmp_path, ic.maximal_ideal(), "m.json")
+    path = write_ideal(tmp_path, ic.maximal_ideal_power(1), "m.json")
     code, out, err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS + 1)])
     assert code == 4 and not out and err
     code, out, _err = run(capsys, ["mult", path, "--trials", str(MAX_TRIALS)])
@@ -469,7 +469,7 @@ def test_atlas_bytes_are_pinned(capsys, fmt, digest):
 def test_render_svg(tmp_path, capsys, example_reference, showcase_b):
     svg = render_svg(example_reference)
     assert svg.count('class="vertex"') == 4
-    assert render_svg(ic.maximal_ideal()).count('class="vertex"') == 2
+    assert render_svg(ic.maximal_ideal_power(1)).count('class="vertex"') == 2
     assert render_svg(showcase_b).count('class="vertex"') == 4
     assert render_svg(example_reference) == svg  # byte stable
 
@@ -515,10 +515,26 @@ def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, c
                    "candidate ideal\n")
 
 
+def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, capsys):
+    # I_2 = (x^2, xy^3) holds no power of y, so by Fitting's lemma the length is infinite
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
+                                                    [[], [[0, 3, 1]]]]}))
+    audit = "minor ideal [[2, 0], [1, 3]] is not m-primary: infinite length"
+    for verb, reason in (
+            (["length"], "the quotient is nonzero on an unbounded cell of the degree grid"),
+            (["mult"], "no sample certified a colength up to the truncation cap 8 "
+                       "(4 of 4 trials reached it, 0 degenerate)"),
+            (["audit", "--check", "gap-bound"], audit), (["audit", "--check", "summand"], audit)):
+        # mult samples up to the cap before it fails; at the default cap that takes seconds
+        code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:] + ["--trunc-cap", "8"])
+        assert (code, out, err) == (3, "", f"error: NotFiniteColength: {reason}\n"), verb
+
+
 def test_a_closed_form_disagreement_exits_3(tmp_path, capsys, monkeypatch, showcase_a):
     # icmod.classify names the function, so its module is reached through sys.modules
     monkeypatch.setattr(sys.modules["icmod.classify"], "closed_form_fitting",
-                        lambda _ideal, _rank: ic.maximal_ideal())
+                        lambda _ideal, _rank: ic.maximal_ideal_power(1))
     code, out, err = run(capsys, ["classify", write_ideal(tmp_path, showcase_a), "--rank", "2"])
     assert (code, out) == (3, "")
     assert err == "error: NonMonomialIdeal: minor ideal disagrees with its closed form\n"

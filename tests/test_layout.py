@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -210,3 +211,46 @@ def test_only_build_module_attaches_a_grading():
     found = {path.name: grading_attachments(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: where for name, where in found.items() if where} == {
         "modmat.py": ["attach in build_module"]}
+
+
+def unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
+    """Library names that no text outside the tests refers to, as `module.name` or
+    `module.Class.method`.  A module-level function or class needs a `\\bname\\b`
+    match other than on its own `def` or `class` line; a method other than a
+    dunder needs a `\\.name\\b` match.  Matches are sought in every source of
+    `modules` and in `elsewhere`."""
+    corpus = "\n".join([*modules.values(), elsewhere])
+    found = []
+    for stem, source in modules.items():
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            if len(word.findall(corpus)) == len(word.findall(lines[node.lineno - 1])):
+                found.append(f"{stem}.{node.name}")
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and not re.search(rf"\.{item.name}\b", corpus)):
+                    found.append(f"{stem}.{node.name}.{item.name}")
+    return found
+
+
+def test_library_code_has_a_caller_outside_tests():
+    # code that no engine, script, benchmark or README example calls leaves the
+    # library, and test oracles live in tests/conftest.py
+    assert unreferenced({"m": "def f():\n    return 1\n"}, "") == ["m.f"]
+    assert unreferenced({"m": "def f():\n    return 1\n"}, "m.f()") == []
+    assert unreferenced({"m": "def f():\n    return 1\n", "n": "x = f()\n"}, "") == []
+    assert unreferenced({"m": "def f():\n    return 1\n"}, "f_power()") == ["m.f"]
+    assert unreferenced({"m": "class C:\n    def g(self):\n        pass\n"}, "C()") == ["m.C.g"]
+    assert unreferenced({"m": "class C:\n    def g(self):\n        pass\n"}, "C().g()") == []
+    assert unreferenced({"m": "class C:\n    def g(self):\n        pass\n"}, "C(); g()") == [
+        "m.C.g"]
+    assert unreferenced({"m": "class C:\n    def __eq__(self, o):\n        pass\n"}, "C") == []
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"}
+    elsewhere = [ROOT / "README.md", *sorted((ROOT / "scripts").glob("*.py")),
+                 *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced(modules, "\n".join(path.read_text() for path in elsewhere)) == []

@@ -30,7 +30,7 @@ def test_area_examples(example_reference):
 
 
 def test_reduction_examples(showcase_a):
-    s = ic.reduction_multiplicity(ic.maximal_ideal(), trials=4, seed=0)
+    s = ic.reduction_multiplicity(ic.maximal_ideal_power(1), trials=4, seed=0)
     assert s.value == 1 and s.certified
     s = ic.reduction_multiplicity(ic.canonicalize([(2, 0), (0, 3)]), trials=4, seed=0)
     assert s.value == 6
@@ -49,11 +49,11 @@ def test_reduction_requires_primary_and_enough_trials():
     with pytest.raises(ValueError):
         ic.reduction_multiplicity(ic.canonicalize([(1, 0)]), trials=4, seed=0)
     with pytest.raises(ValueError):
-        ic.reduction_multiplicity(ic.maximal_ideal(), trials=1, seed=0)
+        ic.reduction_multiplicity(ic.maximal_ideal_power(1), trials=1, seed=0)
 
 
 def test_module_multiplicity_examples(showcase_a):
-    s = ic.module_multiplicity(ic.from_ideal(ic.maximal_ideal()), trials=4, seed=0)
+    s = ic.module_multiplicity(ic.from_ideal(ic.maximal_ideal_power(1)), trials=4, seed=0)
     assert s.value == 1
     for k in (1, 2, 3, 4):
         s = ic.module_multiplicity(free_times_max_ideal(k), trials=4, seed=0)
