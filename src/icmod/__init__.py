@@ -26,7 +26,6 @@ from .modmat import (
     build_module,
     closed_form_fitting,
     colength_module,
-    direct_sum,
     fitting_ideal,
     from_ideal,
     matrix_from_json,

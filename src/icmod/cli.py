@@ -92,7 +92,9 @@ def _admit(args, obj=None, rank: int | None = None, width: int | None = None) ->
     MAX_TRIALS: seeded trials of a sampled reduction.
     MAX_TRUNC_CAP: truncation degree D; a truncation has about D^2 / 2 coordinates per row.
     MAX_EXPONENT: staircase rows walked per ideal, and the degree of a matrix entry.
-    MAX_RANK: the rank e of the minors listed; off the forest DP each e lists ~2.5x as many.
+    MAX_RANK: the rank e of matrix JSON off the forest DP, each e listing ~2.5x as many
+        minors; a built module lists none on any verb, so on an ideal's --rank the cap
+        stands in for the size of classify, construct and the audits.
     MAX_COLUMNS: column sets of the minor table, and the columns a truncation spans.
     """
     if args.trials > MAX_TRIALS:

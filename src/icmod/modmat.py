@@ -1,17 +1,18 @@
 """Presentation matrices of finite-colength submodules of a free module.
 
 Builds the rank-e module attached to a normalized staircase, computes Fitting
-ideals from exact minors (maximal minors of a graded forest by a tree DP),
-and measures colengths and minimal generator counts with two engines.  A
-Z^2-graded matrix (every entry a single term, and row and column degrees
-that fit every entry; build_module, from_ideal and direct_sum all give one)
-gets exact sums over the grid of its row and column degrees, with no
-truncation and no cap; build_module attaches its grading in closed form, and
-a walk over the row/column graph finds the grading of every other matrix.  An
-ungraded matrix, such as a sampled reduction, gets truncated linear algebra
-with a Nakayama stopping certificate, run by one truncation builder over one
-degree sequence that ends at the cap.  Pure computation throughout; the
-minor sweep and the spans are deterministic regardless of evaluation order.
+ideals as sums over row sets of maximal minors (a tree DP on a graded forest,
+exact minors otherwise), and measures colengths and minimal generator counts
+with two engines.  A Z^2-graded matrix (every entry a single term, and row
+and column degrees that fit every entry; build_module and from_ideal give
+one, and so does a block sum of graded matrices) gets exact sums over the
+grid of its row and column degrees, with no truncation and no cap;
+build_module attaches its grading in closed form, and a walk over the
+row/column graph finds the grading of every other matrix.  An ungraded
+matrix, such as a sampled reduction, gets truncated linear algebra with a
+Nakayama stopping certificate, run by one truncation builder over one degree
+sequence that ends at the cap.  Pure computation throughout; the minor sweep
+and the spans are deterministic regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -175,58 +176,43 @@ def from_ideal(ideal: MonomialIdeal) -> PresMatrix:
     return PresMatrix(1, tuple((BiPoly.term(g.a, g.b),) for g in ideal.gens))
 
 
-def direct_sum(p1: PresMatrix, p2: PresMatrix) -> PresMatrix:
-    """Block-diagonal sum; colengths add and top minors multiply."""
-    zero = BiPoly.zero()
-    top = [tuple(col) + (zero,) * p2.rank for col in p1.cols]
-    bot = [(zero,) * p1.rank + tuple(col) for col in p2.cols]
-    return PresMatrix(p1.rank + p2.rank, tuple(top + bot))
-
-
 # ---------------------------------------------------------------------------
 # minors and Fitting ideals
 # ---------------------------------------------------------------------------
 
-def signed_minor_table(mat: PresMatrix, t: int) -> dict[tuple[tuple[int, ...], int], dict]:
-    """All nonzero t-by-t minors keyed by (row tuple, column bitmask).
+def signed_minor_table(mat: PresMatrix) -> dict[int, dict]:
+    """All nonzero maximal minors keyed by column bitmask (bit j for column j).
 
-    Laplace expansion along the rows of each row subset: the partial minor of
-    the first k rows is kept per set of used columns (bit j for column j) as a
-    term dict {(a, b): coefficient} and dropped once it cancels to zero, so
-    only live column sets are extended; the final dicts are the values.
+    Laplace expansion along the rows: the partial minor of the first k rows
+    is kept per set of used columns as a term dict {(a, b): coefficient} and
+    dropped once it cancels to zero, so only live column sets are extended;
+    the final dicts are the values.
     """
-    e = mat.rank
-    if not 1 <= t <= e:
-        raise ValueError(f"minor size must lie in 1..{e}")
-    row_entries: list[list] = [[] for _ in range(e)]
+    row_entries: list[list] = [[] for _ in range(mat.rank)]
     for j, col in enumerate(mat.cols):
         for i, entry in enumerate(col):
             if entry:
                 row_entries[i].append((j, [(m.a, m.b, c) for m, c in entry.items()]))
-    table: dict[tuple[tuple[int, ...], int], dict] = {}
-    for rows in combinations(range(e), t):
-        partial: dict[int, dict] = {0: {(0, 0): 1}}
-        for i in rows:
-            grown: dict[int, dict] = {}
-            for mask, poly in partial.items():
-                for j, terms in row_entries[i]:
-                    if mask >> j & 1:
-                        continue
-                    # moving column j into sorted position passes every used column right of it
-                    sign = -1 if (mask >> j).bit_count() & 1 else 1
-                    acc = grown.setdefault(mask | 1 << j, {})
-                    for (pa, pb), pc in poly.items():
-                        for a, b, c in terms:
-                            mon = (pa + a, pb + b)
-                            nc = acc.get(mon, 0) + sign * pc * c
-                            if nc:
-                                acc[mon] = nc
-                            else:
-                                acc.pop(mon, None)
-            partial = {mask: poly for mask, poly in grown.items() if poly}
+    partial: dict[int, dict] = {0: {(0, 0): 1}}
+    for entries in row_entries:
+        grown: dict[int, dict] = {}
         for mask, poly in partial.items():
-            table[(rows, mask)] = poly
-    return table
+            for j, terms in entries:
+                if mask >> j & 1:
+                    continue
+                # moving column j into sorted position passes every used column right of it
+                sign = -1 if (mask >> j).bit_count() & 1 else 1
+                acc = grown.setdefault(mask | 1 << j, {})
+                for (pa, pb), pc in poly.items():
+                    for a, b, c in terms:
+                        mon = (pa + a, pb + b)
+                        nc = acc.get(mon, 0) + sign * pc * c
+                        if nc:
+                            acc[mon] = nc
+                        else:
+                            acc.pop(mon, None)
+        partial = {mask: poly for mask, poly in grown.items() if poly}
+    return partial
 
 
 def _plus(front, other) -> list[tuple[int, int]]:
@@ -234,8 +220,8 @@ def _plus(front, other) -> list[tuple[int, int]]:
     return [(a + c, b + d) for a, b in front for c, d in other]
 
 
-def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
-    """Ideal of maximal minors of a graded forest presentation, or None.
+def _forest_fitting(mat: PresMatrix) -> list[tuple[int, int]] | None:
+    """Minimal degrees of the maximal minors of a graded forest presentation, or None.
 
     A graded matrix has maximal minors c_C x^(delta(C) - sum w) for column
     sets C, with delta(C) the sum of their column degrees, w the row degrees
@@ -250,8 +236,8 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
     is solved in reverse, keeping at each row v the Pareto-minimal degree sums
     of its subtree in two states: no_single, v's component has no single yet,
     and one_single, it has one; a root closes its tree into the product.
-    Raises NonMonomialIdeal when every maximal minor vanishes; any other
-    matrix gives None, for the minor table.
+    The list is empty when every maximal minor vanishes; any other matrix
+    gives None, for the minor table.
     """
     graded = _grading(mat)
     if graded is None:
@@ -275,8 +261,6 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
     for u, v, j in reversed(walk):
         if v < 0:  # every row of u's tree is merged into the root u
             total = minimal_pairs(_plus(total, one_single[u]))
-            if not total:
-                raise NonMonomialIdeal(f"no single-term {e}-minors to generate from")
             continue
         # the edge to u is cut, so u's component is closed, or kept and merged
         dx, dy = col_deg[j]
@@ -287,38 +271,49 @@ def _forest_fitting(mat: PresMatrix) -> MonomialIdeal | None:
         one_single[v] = minimal_pairs(_plus(k, one_single[u]) + _plus(k, o_up) + _plus(o, k_up))
     wx = sum(w[0] for w in row_deg)
     wy = sum(w[1] for w in row_deg)
-    return canonicalize([(a - wx, b - wy) for a, b in total])
+    return [(a - wx, b - wy) for a, b in total]
 
 
 def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     """Certified monomial ideal of t-minors.
 
-    Maximal minors (t the rank) of a graded forest presentation, which
-    build_module, from_ideal and direct_sum give, come from a tree DP over
-    the grading walk (_forest_fitting) with no minor listed: build_module's
-    attached walk, or the one _grading finds.  Otherwise the candidate is
-    generated by the one-term minors of the table (signs dropped), each of
-    which is then divisible by a candidate generator; the certificate checks
-    that every term of every minor with two or more terms is too, in
-    canonical term order.  Refuses with NonMonomialIdeal otherwise,
-    so callers never reason about an uncertified monomial structure.
+    I_t(M) is the sum over the row sets R of size t of the maximal-minor
+    ideals of M_R, which keeps the rows in R and the columns nonzero on R; at
+    t the rank, M_R is M itself, with build_module's attached grading.  A
+    graded forest M_R (build_module and from_ideal give one, and every M_R
+    of a graded forest is one, an edge cut by R becoming a single) gets a tree
+    DP over its grading walk (_forest_fitting) with no minor listed; any
+    other M_R gets the minor table.  The candidate is generated by the
+    one-term minors of both (signs dropped), each of which is then divisible
+    by a candidate generator; the certificate checks that every term of
+    every table minor with two or more terms is too, in canonical term order.
+    Refuses with NonMonomialIdeal otherwise, so callers never reason about an
+    uncertified monomial structure.
     """
-    if t == mat.rank > 0:
-        forest = _forest_fitting(mat)
+    if not 1 <= t <= mat.rank:
+        raise ValueError(f"minor size must lie in 1..{mat.rank}")
+    singles, multi = [], []
+    for rows in combinations(range(mat.rank), t):
+        sub = mat if t == mat.rank else PresMatrix(t, tuple(
+            part for col in mat.cols if any(part := tuple(col[i] for i in rows))))
+        forest = _forest_fitting(sub)
         if forest is not None:
-            return forest
-    dets = signed_minor_table(mat, t).values()
-    singles = [mon for det in dets if len(det) == 1 for mon in det]
+            singles += forest
+            continue
+        for det in signed_minor_table(sub).values():
+            if len(det) == 1:
+                singles += det
+            else:
+                multi.append(det)
     if not singles:
         raise NonMonomialIdeal(f"no single-term {t}-minors to generate from")
     ideal = canonicalize(singles)
-    for det in dets:
-        if len(det) > 1:
-            for a, b, _c in BiPoly(det).to_triples():
-                if not ideal.contains((a, b)):
-                    raise NonMonomialIdeal(
-                        f"minor term x^{a} y^{b} is not reducible by the candidate ideal"
-                    )
+    for det in multi:
+        for a, b, _c in BiPoly(det).to_triples():
+            if not ideal.contains((a, b)):
+                raise NonMonomialIdeal(
+                    f"minor term x^{a} y^{b} is not reducible by the candidate ideal"
+                )
     return ideal
 
 
@@ -340,7 +335,7 @@ def _grading(mat: PresMatrix):
 
     A matrix from build_module carries them in closed form, and they are
     returned as they are; every other matrix (matrix JSON, from_ideal,
-    direct_sum) is walked.  A single-term entry c x^a y^b in row i and column
+    block sums) is walked.  A single-term entry c x^a y^b in row i and column
     j ties the degrees together: delta_j = w_i + (a, b).  One walk over the
     row/column graph fixes every degree from one root row per connected
     component, put at (0, 0); a row with no entries is a component of its
@@ -535,7 +530,7 @@ def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     """Length of the free quotient: a grid sum when graded, else truncated ranks.
 
     A graded matrix (every entry a single term, with row and column degrees
-    that agree, as for build_module, from_ideal and direct_sum) gets the exact
+    that agree, as for build_module and from_ideal) gets the exact
     sum over the degree grid, with no cap (build_module's grading comes
     attached, and any other is walked); a nonzero piece on an unbounded cell
     raises NotFiniteColength.  Any other matrix goes to

@@ -83,10 +83,9 @@ def _sampled_minors(mat: PresMatrix, coeffs) -> list[BiPoly]:
         if not any(col):
             return []
         cols.append(col)
-    table = signed_minor_table(PresMatrix(e, tuple(cols)), e)
-    rows = tuple(range(e))
+    table = signed_minor_table(PresMatrix(e, tuple(cols)))
     full = (1 << (e + 1)) - 1
-    return [BiPoly(table.get((rows, full ^ (1 << k)))) for k in range(e + 1)]
+    return [BiPoly(table.get(full ^ (1 << k))) for k in range(e + 1)]
 
 
 def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,

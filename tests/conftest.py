@@ -120,6 +120,14 @@ def P(*terms) -> ic.BiPoly:
     return ic.BiPoly(((a, b), c) for a, b, c in terms)
 
 
+def direct_sum(p1: ic.PresMatrix, p2: ic.PresMatrix) -> ic.PresMatrix:
+    """Block-diagonal sum; colengths add and top minors multiply."""
+    zero = ic.BiPoly.zero()
+    top = [tuple(col) + (zero,) * p2.rank for col in p1.cols]
+    bot = [(zero,) * p1.rank + tuple(col) for col in p2.cols]
+    return ic.PresMatrix(p1.rank + p2.rank, tuple(top + bot))
+
+
 def permutation_det(entries) -> dict[tuple[int, int], int]:
     """Determinant of a small square matrix of polynomials, by full expansion.
 

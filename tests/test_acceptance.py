@@ -13,7 +13,7 @@ import pytest
 import icmod as ic
 from icmod.classify import TAG_LOW_RANK, TAG_TOP_RANK, UNKNOWN
 
-from conftest import lattice_colength
+from conftest import direct_sum, lattice_colength
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -129,7 +129,7 @@ def test_acceptance_05_colength_gap_bound(sweep9, complete8):
         parts = rng.sample(complete8, rng.choice((2, 2, 3)))
         mat = ic.from_ideal(parts[0])
         for p in parts[1:]:
-            mat = ic.direct_sum(mat, ic.from_ideal(p))
+            mat = direct_sum(mat, ic.from_ideal(p))
         rec = ic.audit_gap_bound(mat)
         if not rec.passed:
             violations.append([p.to_pairs() for p in parts])

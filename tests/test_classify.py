@@ -10,7 +10,7 @@ from icmod.classify import (
     _smallest_witness,
 )
 
-from conftest import lattice_colength, rectangle_witness
+from conftest import direct_sum, lattice_colength, rectangle_witness
 
 
 def test_showcase_b_all_ranks_proven(showcase_b):
@@ -94,7 +94,7 @@ def test_audit_gap_equality_precondition(remark_counterexample):
 
 
 def test_audit_gap_bound_examples(example_reference, showcase_b):
-    mat = ic.direct_sum(ic.from_ideal(example_reference),
+    mat = direct_sum(ic.from_ideal(example_reference),
                         ic.from_ideal(ic.maximal_ideal_power(1)))
     rec = ic.audit_gap_bound(mat)
     assert rec.passed and rec.diff >= 1 and rec.bound == 1
@@ -135,7 +135,7 @@ def test_audit_summand_hypotheses_examples(showcase_a, showcase_b):
     assert rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
     rec = ic.audit_summand_hypotheses(ic.build_module(showcase_b, 5))
     assert not rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power
-    pair = ic.direct_sum(ic.from_ideal(ic.maximal_ideal_power(1)),
+    pair = direct_sum(ic.from_ideal(ic.maximal_ideal_power(1)),
                          ic.from_ideal(ic.maximal_ideal_power(1)))
     rec = ic.audit_summand_hypotheses(pair)
     assert not rec.ord_ge_rank_plus_1 and rec.next_fitting_closure_is_m_power

@@ -555,6 +555,25 @@ def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1, argv
 
 
+def test_no_verb_lists_a_minor_for_a_built_module(tmp_path, capsys, monkeypatch, showcase_a):
+    # every row set of a built module is a graded forest, so the tree DP takes
+    # each Fitting ideal these verbs ask for, the summand audit's I_(e-1) too
+    path = write_ideal(tmp_path, showcase_a)
+    requests = [["classify", path, "--rank", "all"], ["construct", path, "--rank", "4"],
+                ["audit", path, "--check", "gap-equality", "--rank", "3"],
+                ["audit", path, "--check", "gap-bound", "--rank", "3"],
+                ["audit", path, "--check", "summand", "--rank", "4"],
+                ["atlas", "--max-a", "5", "--max-b", "5"]]
+    replies = [run(capsys, argv) for argv in requests]
+
+    def refuse(_mat):
+        raise AssertionError("a minor table was listed")
+
+    monkeypatch.setattr(ic.modmat, "signed_minor_table", refuse)
+    for argv, reply in zip(requests, replies):
+        assert reply[0] == 0 and run(capsys, argv) == reply, argv
+
+
 class _FailingStdout:
     def __init__(self, exc):
         self.exc = exc

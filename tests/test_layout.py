@@ -1,6 +1,8 @@
 import ast
 import importlib.util
+import io
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -213,12 +215,38 @@ def test_only_build_module_attaches_a_grading():
         "modmat.py": ["attach in build_module"]}
 
 
+def code_only(source: str) -> str:
+    """Python source with its comments and docstrings blanked, line numbers kept."""
+    lines = source.splitlines(keepends=True)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col] + "\n"
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)):
+            doc = body[0]
+            for row in range(doc.lineno, doc.end_lineno + 1):
+                lines[row - 1] = "\n"
+            lines[doc.lineno - 1] = " " * doc.col_offset + "...\n"  # a body may be just its docstring
+    return "".join(lines)
+
+
+def fenced(markdown: str) -> str:
+    """The fenced code blocks of a markdown text, without the prose around them."""
+    return "".join(re.findall(r"^```[^\n]*\n(.*?)^```", markdown, re.M | re.S))
+
+
 def unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
-    """Library names that no text outside the tests refers to, as `module.name` or
+    """Library names that no code outside the tests refers to, as `module.name` or
     `module.Class.method`.  A module-level function or class needs a `\\bname\\b`
     match other than on its own `def` or `class` line; a method other than a
-    dunder needs a `\\.name\\b` match.  Matches are sought in every source of
-    `modules` and in `elsewhere`."""
+    dunder needs a `\\.name\\b` match.  Matches are sought in the code of every
+    source of `modules`, with comments and docstrings blanked, and in
+    `elsewhere`."""
+    modules = {stem: code_only(source) for stem, source in modules.items()}
     corpus = "\n".join([*modules.values(), elsewhere])
     found = []
     for stem, source in modules.items():
@@ -239,7 +267,7 @@ def unreferenced(modules: dict[str, str], elsewhere: str) -> list[str]:
 
 def test_library_code_has_a_caller_outside_tests():
     # code that no engine, script, benchmark or README example calls leaves the
-    # library, and test oracles live in tests/conftest.py
+    # library, and test oracles live in tests/conftest.py; prose naming it is no call
     assert unreferenced({"m": "def f():\n    return 1\n"}, "") == ["m.f"]
     assert unreferenced({"m": "def f():\n    return 1\n"}, "m.f()") == []
     assert unreferenced({"m": "def f():\n    return 1\n", "n": "x = f()\n"}, "") == []
@@ -249,8 +277,13 @@ def test_library_code_has_a_caller_outside_tests():
     assert unreferenced({"m": "class C:\n    def g(self):\n        pass\n"}, "C(); g()") == [
         "m.C.g"]
     assert unreferenced({"m": "class C:\n    def __eq__(self, o):\n        pass\n"}, "C") == []
+    prose = '"""Uses f."""\n\n\ndef g():\n    """f and C.h"""\n    return 2  # f()\n'
+    assert unreferenced({"m": "def f():\n    return 1\n", "n": prose}, "") == ["m.f", "n.g"]
+    assert unreferenced({"m": "def f():\n    return 1\n", "n": "x = 'f'  # f\n"}, "") == []
+    assert fenced("Call f.\n```python\nf()\n```\nor g.\n```\nh()\n```\n") == "f()\nh()\n"
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
                if path.name != "__init__.py"}
-    elsewhere = [ROOT / "README.md", *sorted((ROOT / "scripts").glob("*.py")),
-                 *sorted((ROOT / "perfbench").glob("*.py"))]
-    assert unreferenced(modules, "\n".join(path.read_text() for path in elsewhere)) == []
+    scripts = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    elsewhere = [fenced((ROOT / "README.md").read_text()),
+                 *(code_only(path.read_text()) for path in scripts)]
+    assert unreferenced(modules, "\n".join(elsewhere)) == []

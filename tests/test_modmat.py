@@ -20,8 +20,8 @@ from icmod.modmat import (
     certified_colength,
 )
 
-from conftest import (P, brute_fitting, brute_minors, is_contracted_numeric, lattice_colength,
-                      rank_exact, term_dict)
+from conftest import (P, brute_fitting, brute_minors, direct_sum, is_contracted_numeric,
+                      lattice_colength, rank_exact, term_dict)
 
 
 def entries_row1(mat):
@@ -65,10 +65,11 @@ def test_module_spec_invariants(showcase_b):
 
 def test_minors_counts_and_band_recursion(showcase_a):
     mat = ic.build_module(showcase_a, 2)
-    # each 1-minor is one nonzero entry, keyed by its row and its column's bit
-    entries = {((i,), 1 << j): term_dict(entry)
-               for j, col in enumerate(mat.cols) for i, entry in enumerate(col) if entry}
-    assert ic.signed_minor_table(mat, 1) == entries
+    # each maximal minor of one row is one nonzero entry, keyed by its column's bit
+    for i in range(mat.rank):
+        row = [col[i] for col in mat.cols if col[i]]
+        entries = {1 << j: term_dict(entry) for j, entry in enumerate(row)}
+        assert ic.signed_minor_table(PresMatrix(1, tuple((entry,) for entry in row))) == entries
 
     # 2x4 band with unit y-powers: top minors generate the maximal ideal squared
     band = PresMatrix(2, ((X, BiPoly.zero()), (Y, X), (Y, BiPoly.zero()),
@@ -76,11 +77,16 @@ def test_minors_counts_and_band_recursion(showcase_a):
     assert ic.fitting_ideal(band, 2) == ic.maximal_ideal_power(2)
 
 
+def brute_maximal_minors(mat):
+    """The oracle's maximal minors, keyed by column bitmask as the table keys them."""
+    return {mask: det for (_rows, mask), det in brute_minors(mat, mat.rank).items()}
+
+
 def test_minor_table_against_permutation_expansion(showcase_a):
     multi_term = PresMatrix(2, ((P((1, 0, 1), (0, 1, 1)), BiPoly.term(0, 2)),
                                 (BiPoly.term(2, 0, -1), X), (Y, BiPoly.zero())))
-    for mat, t in ((ic.build_module(showcase_a, 3), 3), (multi_term, 2)):
-        assert ic.signed_minor_table(mat, t) == brute_minors(mat, t)
+    for mat in (ic.build_module(showcase_a, 3), multi_term):
+        assert ic.signed_minor_table(mat) == brute_maximal_minors(mat)
 
 
 small_entries = st.dictionaries(
@@ -100,8 +106,7 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_minor_table_matches_permutation_expansion_on_multi_term_matrices(mat):
-    for t in range(1, mat.rank + 1):
-        assert ic.signed_minor_table(mat, t) == brute_minors(mat, t)
+    assert ic.signed_minor_table(mat) == brute_maximal_minors(mat)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,20 +138,17 @@ def test_fitting_ideal_refuses_non_monomial():
 
 def table_fitting(mat):
     """Maximal-minor ideal from the minor table; None when every maximal minor vanishes."""
-    dets = ic.signed_minor_table(mat, mat.rank).values()
+    dets = ic.signed_minor_table(mat).values()
     # every minor of a graded matrix is a single term
     assert all(len(det) == 1 for det in dets)
     return ic.canonicalize([mon for det in dets for mon in det]) if dets else None
 
 
 def forest_fitting(mat):
-    """The tree walk's ideal; None when it refuses because every maximal minor vanishes."""
-    try:
-        ideal = _forest_fitting(mat)
-    except NonMonomialIdeal:
-        return None
-    assert ideal is not None, "a graded forest must not fall back to the table"
-    return ideal
+    """The tree walk's ideal; None when every maximal minor vanishes."""
+    pairs = _forest_fitting(mat)
+    assert pairs is not None, "a graded forest must not fall back to the table"
+    return ic.canonicalize(pairs) if pairs else None
 
 
 def test_forest_fitting_matches_minor_table_on_box_slice():
@@ -163,7 +165,7 @@ def test_forest_fitting_matches_minor_table_on_sums(showcase_a, showcase_b, rema
     for first in parts:
         assert forest_fitting(first) == table_fitting(first)
         for second in parts:
-            both = ic.direct_sum(first, second)
+            both = direct_sum(first, second)
             if both.rank <= 6:
                 assert forest_fitting(both) == table_fitting(both)
             # top minors of a block sum multiply
@@ -171,14 +173,14 @@ def test_forest_fitting_matches_minor_table_on_sums(showcase_a, showcase_b, rema
 
 
 @st.composite
-def graded_forests(draw):
+def graded_forests(draw, max_rank=6):
     """Graded matrices whose two-entry columns form a forest on the rows.
 
     Coefficients are nonzero integers of unequal magnitudes and either sign.
     A row may hold several one-entry columns or none, a tree may have no
     one-entry column, and the columns may be fewer than the rows.
     """
-    e = draw(st.integers(1, 6))
+    e = draw(st.integers(1, max_rank))
     rows = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                          min_size=e, max_size=e))
     coefficients = st.integers(-7, 100).filter(bool)
@@ -204,6 +206,36 @@ def graded_forests(draw):
 @given(graded_forests())
 def test_forest_fitting_matches_minor_table_on_random_forests(mat):
     assert forest_fitting(mat) == table_fitting(mat)
+
+
+def fitting_or_none(mat, t):
+    try:
+        return ic.fitting_ideal(mat, t)
+    except NonMonomialIdeal:
+        return None
+
+
+# I_t sums the maximal minors of every row set R; an edge that R cuts is a
+# single of M_R, and an R with an empty row adds nothing
+@seed(2021)
+@settings(max_examples=150, deadline=None)
+@given(graded_forests(max_rank=4))
+def test_fitting_ideal_matches_the_oracle_at_every_t_on_random_forests(mat):
+    for t in range(1, mat.rank + 1):
+        assert fitting_or_none(mat, t) == brute_fitting(mat, t), t
+
+
+def test_fitting_ideal_matches_the_oracle_at_every_t_on_built_modules_and_sums(showcase_a):
+    zero = BiPoly.zero()
+    empty_row = PresMatrix(3, ((X, zero, zero), (Y, X, zero), (zero, Y, zero)))
+    mats = [empty_row] + [ic.build_module(ideal, e) for ideal, e in _sweep_pairs(5)]
+    small = [ic.from_ideal(ic.maximal_ideal_power(2)), ic.from_ideal(ic.simple_closure(2, 3)),
+             ic.build_module(ic.maximal_ideal_power(2), 2)]
+    mats += [direct_sum(first, second) for first in small for second in small]
+    mats.append(direct_sum(mats[-1], small[0]))
+    for mat in mats:
+        for t in range(1, mat.rank + 1):
+            assert fitting_or_none(mat, t) == brute_fitting(mat, t), (mat, t)
 
 
 @st.composite
@@ -261,10 +293,9 @@ def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showc
     calls = []
     table = modmat.signed_minor_table
     monkeypatch.setattr(modmat, "signed_minor_table",
-                        lambda mat, t: calls.append(t) or table(mat, t))
+                        lambda mat: calls.append(mat.rank) or table(mat))
     one, zero = BiPoly.term(0, 0), BiPoly.zero()
     x2, y2 = BiPoly.term(2, 0), BiPoly.term(0, 2)
-    module = ic.build_module(showcase_a, 4)
     cycle = PresMatrix(3, ((X, X, zero), (zero, X, X), (X, zero, X), (y2, zero, zero)))
     parallel = PresMatrix(2, ((X, X), (Y, Y), (x2, zero), (zero, y2)))
     three = PresMatrix(3, ((X, X, X), (Y, zero, zero), (zero, Y, zero), (zero, zero, Y)))
@@ -282,23 +313,28 @@ def test_fitting_ideal_uses_the_table_only_off_graded_forests(monkeypatch, showc
             pass
         assert calls == [mat.rank]
         calls.clear()
-    assert ic.fitting_ideal(module, 3) == ic.maximal_ideal_power(3)
-    assert calls == [3]
+    # below the rank each row set picks its engine: dropping a row cuts the
+    # cycle, and only row 0 of multi_term holds the two-term entry
+    assert ic.fitting_ideal(cycle, 2) == brute_fitting(cycle, 2)
+    assert ic.fitting_ideal(multi_term, 1) == brute_fitting(multi_term, 1)
+    assert calls == [1]
     calls.clear()
-    assert ic.fitting_ideal(module, 4) == showcase_a
-    assert calls == []
+    # a built module's I_t lists no minor at any t
+    module = ic.build_module(showcase_a, 4)
+    fits = [ic.fitting_ideal(module, t) for t in range(1, 5)]
+    assert fits[2:] == [ic.maximal_ideal_power(3), showcase_a] and calls == []
 
 
 def test_forest_fitting_refuses_when_every_maximal_minor_vanishes():
+    # the DP gives no degrees, and fitting_ideal makes the one refusal
     zero = BiPoly.zero()
     path = PresMatrix(3, ((X, Y, zero), (zero, X, Y)))  # fewer columns than rows
     bare_tree = PresMatrix(3, ((X, zero, zero), (Y, zero, zero), (BiPoly.term(1, 1), zero, zero),
                                (zero, X, Y)))  # the tree on rows 1 and 2 has no one-entry column
     for mat in (path, bare_tree):
         assert table_fitting(mat) is None
+        assert _forest_fitting(mat) == []
         with pytest.raises(NonMonomialIdeal, match="no single-term 3-minors"):
-            _forest_fitting(mat)
-        with pytest.raises(NonMonomialIdeal):
             ic.fitting_ideal(mat, 3)
 
 
@@ -549,7 +585,7 @@ def test_built_modules_carry_the_grading_the_walk_finds():
     assert len(pairs) == 5932 + 1328
     # every other constructor leaves the grading to the walk
     one = ic.from_ideal(ic.maximal_ideal_power(2))
-    both = ic.direct_sum(ic.build_module(ic.maximal_ideal_power(3), 2), one)
+    both = direct_sum(ic.build_module(ic.maximal_ideal_power(3), 2), one)
     assert one._built_grading is None and both._built_grading is None
     assert _grading(one) is not None and _grading(both) is not None
 
@@ -590,7 +626,7 @@ def graded_matrices(draw):
 @given(graded_matrices(), st.one_of(st.none(), graded_matrices()))
 def test_graded_engine_matches_truncation_on_random_graded_matrices(mat, other):
     if other is not None:
-        mat = ic.direct_sum(mat, other)
+        mat = direct_sum(mat, other)
     colength, mu = graded_values(mat)
     # every such module of finite colength certifies well below this cap
     t_colength, t_mu = truncation_values(mat, 24)
@@ -626,16 +662,16 @@ def test_grading_walk_places_every_row_once_after_its_parent(mat):
 
 def test_direct_sum(showcase_a):
     m1 = ic.from_ideal(ic.maximal_ideal_power(1))
-    both = ic.direct_sum(m1, m1)
+    both = direct_sum(m1, m1)
     assert both.rank == 2
     assert ic.colength_module(both) == 2
     assert ic.fitting_ideal(both, 2) == ic.maximal_ideal_power(2)
 
-    mixed = ic.direct_sum(ic.from_ideal(showcase_a), m1)
+    mixed = direct_sum(ic.from_ideal(showcase_a), m1)
     assert ic.fitting_ideal(mixed, 2) == showcase_a * ic.maximal_ideal_power(1)
 
     empty = PresMatrix(0, ())
-    assert ic.direct_sum(m1, empty) == m1
+    assert direct_sum(m1, empty) == m1
 
 
 def test_matrix_json_roundtrip(showcase_b):

@@ -7,7 +7,7 @@ from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix
 from icmod.multiplicity import ReductionSample, _sampled_minors
 
-from conftest import permutation_det, term_dict
+from conftest import direct_sum, permutation_det, term_dict
 
 
 def free_times_max_ideal(k):
@@ -116,7 +116,7 @@ def test_difference_formula_examples(showcase_a):
     chk = ic.check_difference_formula(rank1, trials=4, seed=0)
     assert chk.lhs == 0 and chk.rhs == 0 and chk.equal
 
-    pair = ic.direct_sum(ic.from_ideal(ic.simple_closure(2, 3)),
+    pair = direct_sum(ic.from_ideal(ic.simple_closure(2, 3)),
                          ic.from_ideal(ic.maximal_ideal_power(2)))
     chk = ic.check_difference_formula(pair, trials=4, seed=0)
     assert chk.equal
@@ -141,6 +141,6 @@ def test_gap_bound_on_direct_sums():
         parts = rng.sample(complete, rng.choice((2, 2, 3)))
         mat = ic.from_ideal(parts[0])
         for p in parts[1:]:
-            mat = ic.direct_sum(mat, ic.from_ideal(p))
+            mat = direct_sum(mat, ic.from_ideal(p))
         rec = ic.audit_gap_bound(mat)
         assert rec.passed, [p.to_pairs() for p in parts]
