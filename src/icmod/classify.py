@@ -16,12 +16,12 @@ from .modmat import (
     DEFAULT_CAP,
     NegativeExponent,
     NonMonomialIdeal,
-    NotFiniteColength,
     PresMatrix,
     RankOutOfRange,
     build_module,
     closed_form_fitting,
     colength_module,
+    finite_fitting,
     fitting_ideal,
 )
 from .staircase import (
@@ -163,14 +163,6 @@ def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> GapEquality:
     return GapEquality(lhs=lhs, expected=expected, passed=lhs == expected)
 
 
-def _finite_fitting(mat: PresMatrix) -> MonomialIdeal:
-    """I_e(M), certified; the module has finite length iff it is m-primary (Fitting)."""
-    fit = fitting_ideal(mat, mat.rank)
-    if not fit.is_m_primary:
-        raise NotFiniteColength(f"minor ideal {fit.to_pairs()} is not m-primary: infinite length")
-    return fit
-
-
 @dataclass(frozen=True)
 class GapBound:
     diff: int
@@ -185,7 +177,7 @@ def audit_gap_bound(mat: PresMatrix, cap: int = DEFAULT_CAP) -> GapBound:
     or a direct sum of complete ideals); this audit just measures the gap.
     """
     rank = mat.rank
-    diff = _finite_fitting(mat).colength() - colength_module(mat, cap)
+    diff = finite_fitting(mat).colength() - colength_module(mat, cap)
     bound = rank * (rank - 1) // 2
     return GapBound(diff=diff, bound=bound, passed=diff >= bound)
 
@@ -243,7 +235,7 @@ def audit_summand_hypotheses(mat: PresMatrix) -> SummandHypotheses:
     e = mat.rank
     if e < 2:
         raise ValueError("hypothesis audit needs rank at least 2")
-    fit = _finite_fitting(mat)
+    fit = finite_fitting(mat)
     next_fit = fitting_ideal(mat, e - 1)
     return SummandHypotheses(
         ord_ge_rank_plus_1=fit.order() >= e + 1,

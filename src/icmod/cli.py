@@ -86,7 +86,7 @@ def _load_ideal_or_matrix(path: str):
     return staircase.from_json(obj)
 
 
-def _admit(args, obj=None, rank: int | None = None, width: int | None = None) -> None:
+def _admit(args, obj=None, rank: int | None = None) -> None:
     """Refuse a request above a size guardrail, checking the caps in this order:
 
     MAX_TRIALS: seeded trials of a sampled reduction.
@@ -95,20 +95,24 @@ def _admit(args, obj=None, rank: int | None = None, width: int | None = None) ->
     MAX_RANK: the rank e of matrix JSON off the forest DP, each e listing ~2.5x as many
         minors; a built module lists none on any verb, so on an ideal's --rank the cap
         stands in for the size of classify, construct and the audits.
-    MAX_COLUMNS: column sets of the minor table, and the columns a truncation spans.
+    MAX_COLUMNS: column sets of the minor table, the columns a truncation spans, and the
+        terms each sampled combination of mult sums.
+
+    A matrix brings its own rank and width; rank is an ideal's --rank.
     """
     if args.trials > MAX_TRIALS:
         raise BoundsTooLarge(f"--trials is capped at {MAX_TRIALS}")
     if args.trunc_cap > MAX_TRUNC_CAP:
         raise BoundsTooLarge(f"--trunc-cap is capped at {MAX_TRUNC_CAP}")
-    if obj is not None:
-        if isinstance(obj, staircase.MonomialIdeal):
-            top = max(obj.gens[0].a, obj.gens[-1].b)
-        else:
-            top = max(v for col in obj.cols for entry in col for mon, _c in entry.items()
-                      for v in mon)
-        if top > MAX_EXPONENT:
-            raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
+    width = None
+    if isinstance(obj, modmat.PresMatrix):
+        rank, width = obj.rank, obj.ncols
+        top = max(v for col in obj.cols for entry in col for mon, _c in entry.items()
+                  for v in mon)
+    elif obj is not None:
+        top = max(obj.gens[0].a, obj.gens[-1].b)
+    if obj is not None and top > MAX_EXPONENT:
+        raise BoundsTooLarge(f"exponents are capped at {MAX_EXPONENT}")
     if rank is not None and rank > MAX_RANK:
         raise BoundsTooLarge(f"ranks are capped at {MAX_RANK}")
     if width is not None and width > MAX_COLUMNS:
@@ -198,24 +202,24 @@ def _cmd_construct(args) -> str:
 
 def _cmd_length(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
-    if isinstance(obj, staircase.MonomialIdeal):  # an ideal's colength has no exponent cap
-        _admit(args)
+    ideal = isinstance(obj, staircase.MonomialIdeal)
+    _admit(args, None if ideal else obj)  # no exponent cap on an ideal, columns on a graded matrix
+    if ideal:
         return _dump({"kind": "ideal", "colength": obj.colength()}, args.json)
-    _admit(args, obj, obj.rank, obj.ncols)  # a graded matrix too, though it needs no truncation
     value = modmat.colength_module(obj, cap=args.trunc_cap)
     return _dump({"kind": "module", "colength": value}, args.json)
 
 
 def _cmd_mult(args) -> str:
     obj = _load_ideal_or_matrix(args.input)
+    ideal = isinstance(obj, staircase.MonomialIdeal)
+    _admit(args, None if ideal else obj)  # neither route has an exponent cap on an ideal
     out: dict = {}
-    if isinstance(obj, staircase.MonomialIdeal):
-        _admit(args)  # neither route has an exponent cap on an ideal
+    if ideal:
         if args.route in ("area", "both"):
             out["area"] = multiplicity.area_multiplicity(obj)
         sampler = multiplicity.reduction_multiplicity
     else:
-        _admit(args, obj, obj.rank)
         if args.route == "area":
             raise ValueError("the area route applies to ideals, not matrices")
         sampler = multiplicity.module_multiplicity
@@ -235,12 +239,9 @@ def _cmd_audit(args) -> str:
         obj = _load_ideal(args.input)
     else:
         obj = _load_ideal_or_matrix(args.input)
-    if isinstance(obj, modmat.PresMatrix):
-        _admit(args, obj, obj.rank, obj.ncols)
-    else:
-        _admit(args, obj, None if args.check == "split" else args.rank)
-        if args.check in ("gap-bound", "summand"):
-            obj = modmat.build_module(obj.normalized(), args.rank)
+    _admit(args, obj, None if args.check == "split" else args.rank)
+    if isinstance(obj, staircase.MonomialIdeal) and args.check in ("gap-bound", "summand"):
+        obj = modmat.build_module(obj.normalized(), args.rank)
     if args.check == "gap-equality":
         rec = audit_gap_equality(obj, args.rank)
         reply = {"lhs": rec.lhs, "expected": rec.expected, "pass": rec.passed}

@@ -46,10 +46,6 @@ class NotFiniteColength(RuntimeError):
     """Nakayama certificate failed up to the configured truncation cap."""
 
 
-class AbortColength(Exception):
-    """Partial colength already exceeded the caller's threshold."""
-
-
 @dataclass(frozen=True)
 class PresMatrix:
     """Columns generating a submodule of the rank-e free module."""
@@ -317,6 +313,14 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     return ideal
 
 
+def finite_fitting(mat: PresMatrix) -> MonomialIdeal:
+    """I_e(M), certified; the module has finite length iff it is m-primary (Fitting)."""
+    fit = fitting_ideal(mat, mat.rank)
+    if not fit.is_m_primary:
+        raise NotFiniteColength(f"minor ideal {fit.to_pairs()} is not m-primary: infinite length")
+    return fit
+
+
 def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
     """Monomial ideal the maximal minors must generate, read off the staircase."""
     module_spec(ideal, rank)  # refuses what the construction refuses
@@ -502,7 +506,7 @@ def _degrees(cols, cap: int, start: int | None):
 
 
 def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None,
-                       start: int | None = None) -> tuple[int, int]:
+                       start: int | None = None) -> tuple[int, int] | None:
     """Certified colength and the smallest truncation degree that certifies it.
 
     Builds at the degrees start, start + 2, ... below the cap, and last at the
@@ -510,8 +514,10 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
     build whose elimination certifies some degree returns that build's
     deficiency with the smallest certifying degree, which may lie below the
     degree built.  Every degree that certifies gives the exact colength, so any
-    nonnegative start is sound.  This is the truncation engine, for any
-    matrix; the reduction sampler calls it directly.
+    nonnegative start is sound.  Returns None instead once a build's
+    deficiency, a lower bound on the colength, exceeds abort_above.  This is
+    the truncation engine, for any matrix; the reduction sampler calls it
+    directly.
     """
     cols = _column_terms(mat)
     e = mat.rank
@@ -519,7 +525,7 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
         span, _gained = _truncation(cols, e, deg)
         deficiency = e * tri(deg + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
-            raise AbortColength(deficiency)
+            return None
         certified = _certified_degree(span, e, deg)
         if certified is not None:
             return deficiency, certified

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from .algebra import BiPoly
 from .modmat import (
     DEFAULT_CAP,
-    AbortColength,
     NotFiniteColength,
     PresMatrix,
     certified_colength,
     colength_module,
-    fitting_ideal,
+    finite_fitting,
     from_ideal,
     signed_minor_table,
 )
@@ -129,14 +128,14 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
             orders = sorted(g.order for g in gens)
             start = max(3, orders[0] + orders[1] + 1)
         try:
-            value, degree = certified_colength(PresMatrix(1, tuple((g,) for g in gens)), cap,
-                                              abort_above=best, start=start)
-        except AbortColength:
-            continue  # completed trial, provably not the minimum
+            found = certified_colength(PresMatrix(1, tuple((g,) for g in gens)), cap,
+                                       abort_above=best, start=start)
         except NotFiniteColength:
             capped += 1
             continue
-        degree_hint = degree
+        if found is None:
+            continue  # completed trial, provably not the minimum
+        value, degree_hint = found
         if best is None or value < best:
             best, hits, best_coeffs = value, 1, coeffs
         elif value == best:
@@ -182,8 +181,9 @@ def check_difference_formula(mat: PresMatrix, trials: int = 4, seed: int = 0,
     the area multiplicity of the minor ideal minus the sampled module
     multiplicity.  The caller is responsible for integral closedness; on
     other inputs the record is still computed but carries no expectation.
+    A module of infinite length raises NotFiniteColength (finite_fitting).
     """
-    fit = fitting_ideal(mat, mat.rank)
+    fit = finite_fitting(mat)
     lhs = fit.colength() - colength_module(mat, cap)
     sample = module_multiplicity(mat, trials=trials, seed=seed, cap=cap)
     rhs = area_multiplicity(fit) - sample.value

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -189,13 +190,14 @@ def test_size_guardrails_exit_4(tmp_path, capsys):
     code, out, _err = run(capsys, ["classify", m_top, "--rank", str(MAX_RANK)])
     assert code == 0 and json.loads(out)["indecomposable"] == "thm_5_2"
 
-    # the matrix audits enumerate minors over column sets and length spans every column,
-    # so matrix JSON is capped by width (the rank-2 module of m^k has k + 2 columns)
+    # the matrix audits enumerate minors over column sets, length spans every column and
+    # mult sums every column into each sampled combination, so matrix JSON is capped by
+    # width (the rank-2 module of m^k has k + 2 columns)
     wide = tmp_path / "wide.json"
     for k, admitted in ((MAX_COLUMNS - 1, False), (MAX_COLUMNS - 2, True)):
         wide.write_text(json.dumps(ic.build_module(ic.maximal_ideal_power(k), 2).to_json()))
         for verb in (["audit", "--check", "gap-bound"], ["audit", "--check", "summand"],
-                     ["length"]):
+                     ["length"], ["mult"]):
             code, out, err = run(capsys, verb[:1] + [str(wide)] + verb[1:])
             if admitted:
                 assert code == 0 and out, verb
@@ -531,6 +533,24 @@ def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, caps
         assert (code, out, err) == (3, "", f"error: NotFiniteColength: {reason}\n"), verb
 
 
+def test_mult_refuses_a_wide_matrix_before_it_samples(tmp_path, capsys):
+    # 200 single-term columns, each entry in a random row of a rank-2 matrix; without
+    # the column cap mult sums all 200 into each sampled combination for over 40 s
+    rng = random.Random(2)
+    cols = []
+    for _ in range(200):
+        col = [[], []]
+        col[rng.randrange(2)] = [[rng.randrange(40), rng.randrange(40), 1]]
+        cols.append(col)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"rank": 2, "cols": cols}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["mult", str(path)])
+    assert (code, out, err) == (4, "", f"error: matrix inputs are capped at {MAX_COLUMNS} "
+                                       "columns\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_a_closed_form_disagreement_exits_3(tmp_path, capsys, monkeypatch, showcase_a):
     # icmod.classify names the function, so its module is reached through sys.modules
     monkeypatch.setattr(sys.modules["icmod.classify"], "closed_form_fitting",
@@ -819,7 +839,7 @@ _just_above = st.one_of(
               st.one_of(st.integers(1, 3).map(lambda n: _matrix(MAX_RANK + 1, n)),
                         st.tuples(st.integers(1, MAX_RANK), st.integers(1, 3)).map(
                             lambda rn: _matrix(*rn, top=MAX_EXPONENT + 1)))),
-    st.tuples(st.sampled_from([["length"], ["audit", "--check", "gap-bound"],
+    st.tuples(st.sampled_from([["length"], ["mult"], ["audit", "--check", "gap-bound"],
                                ["audit", "--check", "summand"]]),
               st.integers(1, MAX_RANK).map(lambda e: _matrix(e, MAX_COLUMNS + 1))),
     # a flag cap binds every verb: admissible input plus one flag above its cap

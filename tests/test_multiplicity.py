@@ -122,6 +122,17 @@ def test_difference_formula_examples(showcase_a):
     assert chk.equal
 
 
+def test_difference_formula_refuses_infinite_length_as_the_audits_do():
+    # I_2 = (x^2, xy^3) holds no power of y, so by Fitting's lemma the length is infinite
+    mat = ic.matrix_from_json({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
+                                                   [[], [[0, 3, 1]]]]})
+    for check in (ic.check_difference_formula, ic.audit_gap_bound, ic.audit_summand_hypotheses):
+        with pytest.raises(NotFiniteColength) as info:
+            check(mat)
+        assert str(info.value) == ("minor ideal [[2, 0], [1, 3]] is not m-primary: "
+                                   "infinite length"), check.__name__
+
+
 def test_dual_oracle_on_complete_box_and_random_noncomplete():
     complete = ic.enumerate_complete_staircases(6, 6, min_r=1)
     for ideal in complete:
