@@ -19,7 +19,7 @@ def inspect(name, ideal):
         line = f"   rank {e}: {v.indecomposable:8s} closed={v.integrally_closed}"
         if v.fitting_complete:
             rec = ic.audit_gap_equality(ideal, e)
-            line += f"  gap {rec.lhs} (expect {rec.expected})"
+            line += f"  gap {rec['lhs']} (expect {rec['expected']})"
         if v.witnesses:
             line += f"  witness {[tuple(w) for w in v.witnesses]}"
         print(line)

@@ -3,12 +3,8 @@ local rings, constructed from staircase monomial ideals."""
 
 from .algebra import BiPoly, Monomial
 from .classify import (
-    GapBound,
-    GapEquality,
     HypothesisViolated,
     PreconditionNotMet,
-    SplitInequality,
-    SummandHypotheses,
     Verdict,
     audit_gap_bound,
     audit_gap_equality,

@@ -142,16 +142,10 @@ def classify(ideal: MonomialIdeal, rank: int) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class GapEquality:
-    lhs: int
-    expected: int
-    passed: bool
-
-
-def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> GapEquality:
+def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> dict:
     """Colength gap between the minor ideal and the module, against e(e-1)/2.
 
+    Keys: lhs (the gap), expected (e(e-1)/2) and pass (lhs == expected).
     Only meaningful when the minor ideal is complete; refuses otherwise.
     """
     mat = build_module(ideal.normalized(), rank)
@@ -160,38 +154,27 @@ def audit_gap_equality(ideal: MonomialIdeal, rank: int) -> GapEquality:
         raise PreconditionNotMet("minor ideal is not complete")
     lhs = fit.colength() - colength_module(mat)
     expected = rank * (rank - 1) // 2
-    return GapEquality(lhs=lhs, expected=expected, passed=lhs == expected)
+    return {"lhs": lhs, "expected": expected, "pass": lhs == expected}
 
 
-@dataclass(frozen=True)
-class GapBound:
-    diff: int
-    bound: int
-    passed: bool
-
-
-def audit_gap_bound(mat: PresMatrix, cap: int = DEFAULT_CAP) -> GapBound:
+def audit_gap_bound(mat: PresMatrix, cap: int = DEFAULT_CAP) -> dict:
     """Colength gap lower bound e(e-1)/2 for an integrally closed module.
 
+    Keys: diff (the gap), bound (e(e-1)/2) and pass (diff >= bound).
     The integral closedness certificate is the caller's (complete minor ideal
     or a direct sum of complete ideals); this audit just measures the gap.
     """
     rank = mat.rank
     diff = finite_fitting(mat).colength() - colength_module(mat, cap)
     bound = rank * (rank - 1) // 2
-    return GapBound(diff=diff, bound=bound, passed=diff >= bound)
+    return {"diff": diff, "bound": bound, "pass": diff >= bound}
 
 
-@dataclass(frozen=True)
-class SplitInequality:
-    lhs: int
-    rhs: int
-    strict: bool
-
-
-def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
+def audit_split_inequality(ideal: MonomialIdeal, part1) -> dict:
     """Strict colength inequality for a two-block split of the simple factors.
 
+    Keys: lhs (colength of the ideal minus those of the two blocks), rhs (the
+    product of the block orders) and strict (lhs > rhs).
     Requires a complete non-simple ideal of order r with x^r inside and
     x^(r-1)y outside; part1 picks a proper nonempty subset of the expanded
     factor list and the complement forms the second block.
@@ -214,22 +197,14 @@ def audit_split_inequality(ideal: MonomialIdeal, part1) -> SplitInequality:
               for part in (chosen, set(range(len(factors))) - chosen))
     lhs = ideal.colength() - b1.colength() - b2.colength()
     rhs = b1.order() * b2.order()
-    return SplitInequality(
-        lhs=lhs,
-        rhs=rhs,
-        strict=lhs > rhs,
-    )
+    return {"lhs": lhs, "rhs": rhs, "strict": lhs > rhs}
 
 
-@dataclass(frozen=True)
-class SummandHypotheses:
-    ord_ge_rank_plus_1: bool
-    next_fitting_closure_is_m_power: bool
-
-
-def audit_summand_hypotheses(mat: PresMatrix) -> SummandHypotheses:
+def audit_summand_hypotheses(mat: PresMatrix) -> dict:
     """Evaluate the two hypotheses of the free-summand structure statement.
 
+    Keys: ord_ge_rank_plus_1 (the minor ideal has order at least e+1) and
+    next_fitting_closure_is_m_power (the closure of I_(e-1) is m^(e-1)).
     Pure hypothesis reporter: the structural conclusion is never decided.
     """
     e = mat.rank
@@ -237,9 +212,8 @@ def audit_summand_hypotheses(mat: PresMatrix) -> SummandHypotheses:
         raise ValueError("hypothesis audit needs rank at least 2")
     fit = finite_fitting(mat)
     next_fit = fitting_ideal(mat, e - 1)
-    return SummandHypotheses(
-        ord_ge_rank_plus_1=fit.order() >= e + 1,
-        next_fitting_closure_is_m_power=(
-            next_fit.integral_closure() == maximal_ideal_power(e - 1)
-        ),
-    )
+    return {
+        "ord_ge_rank_plus_1": fit.order() >= e + 1,
+        "next_fitting_closure_is_m_power":
+            next_fit.integral_closure() == maximal_ideal_power(e - 1),
+    }

@@ -105,9 +105,18 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     minimum.  The smallest truncation degree that certified one trial is the
     degree the next trial builds at first, since generic samples certify at
     the same degree.
+
+    Before any sample, a row whose every term is divisible by x (or y) is
+    refused: expanding each maximal minor along it puts I_e in (x), so the
+    module has infinite length (Fitting's lemma).  An empty row counts.
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")
+    for i in range(mat.rank):
+        for k, var in enumerate("xy"):
+            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
+                raise NotFiniteColength(f"every term of row {i} is divisible by {var}: "
+                                        f"infinite length")
     best: int | None = None
     hits = 0
     best_coeffs: tuple[tuple[int, ...], ...] = ()

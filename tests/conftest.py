@@ -1,4 +1,5 @@
-"""Shared fixtures and independent brute-force oracles for the test suite.
+"""Shared fixtures, matrix strategies and independent brute-force oracles for
+the test suite.
 
 The oracles deliberately avoid the library's own algorithms: colengths come
 from lattice scans, hull vertices from pairwise domination tests over exact
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 import icmod as ic
 
@@ -118,6 +120,40 @@ def is_contracted_numeric(ideal: ic.MonomialIdeal) -> bool:
 def P(*terms) -> ic.BiPoly:
     """Polynomial from (a, b, coefficient) triples; repeated monomials add up."""
     return ic.BiPoly(((a, b), c) for a, b, c in terms)
+
+
+small_entries = st.dictionaries(
+    keys=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    values=st.integers(-2, 2),
+    max_size=3,
+).map(ic.BiPoly)
+
+
+@st.composite
+def small_matrices(draw):
+    """Multi-term matrices of rank 1-4 with one to six columns."""
+    e = draw(st.integers(1, 4))
+    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
+    return ic.PresMatrix(e, tuple(draw(st.lists(column, min_size=1, max_size=6))))
+
+
+@st.composite
+def truncation_matrices(draw):
+    """Multi-term matrices of rank 1-3.
+
+    Most draws add an x-power and a y-power column for each component, some
+    with an xy term, so that the certificate holds below the degree built.
+    """
+    e = draw(st.integers(1, 3))
+    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
+    cols = draw(st.lists(column, min_size=1, max_size=3))
+    if draw(st.integers(0, 3)):
+        for k in range(e):
+            for a, b in ((draw(st.integers(1, 3)), 0), (0, draw(st.integers(1, 2)))):
+                col = [ic.BiPoly.zero()] * e
+                col[k] = P((a, b, 1), *draw(st.sampled_from(((), ((1, 1, 1),)))))
+                cols.append(tuple(col))
+    return ic.PresMatrix(e, tuple(cols))
 
 
 def direct_sum(p1: ic.PresMatrix, p2: ic.PresMatrix) -> ic.PresMatrix:

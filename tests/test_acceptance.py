@@ -131,7 +131,7 @@ def test_acceptance_05_colength_gap_bound(sweep9, complete8):
         for p in parts[1:]:
             mat = direct_sum(mat, ic.from_ideal(p))
         rec = ic.audit_gap_bound(mat)
-        if not rec.passed:
+        if not rec["pass"]:
             violations.append([p.to_pairs() for p in parts])
     ok = not sweep9["bound_failures"] and not violations
     report(5, "colength gap bound on the integrally closed family", ok,
@@ -228,7 +228,7 @@ def test_acceptance_09_split_inequality_strict():
                     continue  # complement gives the same split
                 rec = ic.audit_split_inequality(ideal, set(part1))
                 cases += 1
-                if not rec.strict:
+                if not rec["strict"]:
                     nonstrict.append((ideal.to_pairs(), part1))
     ok = cases > 0 and not nonstrict
     report(9, "split inequality strict on all admissible cases", ok,

@@ -418,6 +418,21 @@ def test_audit_command(tmp_path, capsys, showcase_a, showcase_b):
     assert json.loads(out)["ord_ge_rank_plus_1"] is True
 
 
+def test_audit_writes_what_the_library_returns(tmp_path, capsys, showcase_a, showcase_b):
+    apath, bpath = write_ideal(tmp_path, showcase_a), write_ideal(tmp_path, showcase_b, "b.json")
+    for argv, returned in (
+            ([apath, "--check", "gap-equality", "--rank", "4"],
+             ic.audit_gap_equality(showcase_a, 4)),
+            ([bpath, "--check", "gap-bound", "--rank", "5"],
+             ic.audit_gap_bound(ic.build_module(showcase_b, 5))),
+            ([bpath, "--check", "split", "--part1", "0"],
+             ic.audit_split_inequality(showcase_b, {0})),
+            ([apath, "--check", "summand", "--rank", "4"],
+             ic.audit_summand_hypotheses(ic.build_module(showcase_a, 4)))):
+        code, out, err = run(capsys, ["audit", *argv, "--json"])
+        assert (code, err) == (0, "") and json.loads(out) == returned, argv
+
+
 def test_atlas_rows_and_guardrail(tmp_path, capsys):
     rows = atlas_rows(4, 4)
     complete = [i for i in ic.enumerate_staircases(4, 4, min_r=2, star_only=True)
@@ -525,11 +540,9 @@ def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, caps
     audit = "minor ideal [[2, 0], [1, 3]] is not m-primary: infinite length"
     for verb, reason in (
             (["length"], "the quotient is nonzero on an unbounded cell of the degree grid"),
-            (["mult"], "no sample certified a colength up to the truncation cap 8 "
-                       "(4 of 4 trials reached it, 0 degenerate)"),
+            (["mult"], "every term of row 0 is divisible by x: infinite length"),
             (["audit", "--check", "gap-bound"], audit), (["audit", "--check", "summand"], audit)):
-        # mult samples up to the cap before it fails; at the default cap that takes seconds
-        code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:] + ["--trunc-cap", "8"])
+        code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
         assert (code, out, err) == (3, "", f"error: NotFiniteColength: {reason}\n"), verb
 
 
@@ -548,6 +561,13 @@ def test_mult_refuses_a_wide_matrix_before_it_samples(tmp_path, capsys):
     code, out, err = run(capsys, ["mult", str(path)])
     assert (code, out, err) == (4, "", f"error: matrix inputs are capped at {MAX_COLUMNS} "
                                        "columns\n")
+    assert time.perf_counter() - start < 1.0
+    # its first 12 columns are admitted; every term of row 0 has positive x-degree
+    path.write_text(json.dumps({"rank": 2, "cols": cols[:MAX_COLUMNS]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["mult", str(path), "--trials", "100", "--trunc-cap", "80"])
+    assert (code, out, err) == (3, "", "error: NotFiniteColength: every term of row 0 is "
+                                       "divisible by x: infinite length\n")
     assert time.perf_counter() - start < 1.0
 
 

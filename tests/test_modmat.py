@@ -21,7 +21,8 @@ from icmod.modmat import (
 )
 
 from conftest import (P, brute_fitting, brute_minors, direct_sum, is_contracted_numeric,
-                      lattice_colength, rank_exact, term_dict)
+                      lattice_colength, rank_exact, small_matrices, term_dict,
+                      truncation_matrices)
 
 
 def entries_row1(mat):
@@ -87,20 +88,6 @@ def test_minor_table_against_permutation_expansion(showcase_a):
                                 (BiPoly.term(2, 0, -1), X), (Y, BiPoly.zero())))
     for mat in (ic.build_module(showcase_a, 3), multi_term):
         assert ic.signed_minor_table(mat) == brute_maximal_minors(mat)
-
-
-small_entries = st.dictionaries(
-    keys=st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    values=st.integers(-2, 2),
-    max_size=3,
-).map(BiPoly)
-
-
-@st.composite
-def small_matrices(draw):
-    e = draw(st.integers(1, 4))
-    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
-    return PresMatrix(e, tuple(draw(st.lists(column, min_size=1, max_size=6))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,25 +458,6 @@ def dense_truncation(mat, t):
     units = [[int(index[(k, a, t - a)] == i) for i in range(len(index))]
              for k in range(mat.rank) for a in range(t + 1)]
     return len(index) - rank, rank_exact(rows + units) == rank
-
-
-@st.composite
-def truncation_matrices(draw):
-    """Multi-term matrices of rank 1-3.
-
-    Most draws add an x-power and a y-power column for each component, some
-    with an xy term, so that the certificate holds below the degree built.
-    """
-    e = draw(st.integers(1, 3))
-    column = st.lists(small_entries, min_size=e, max_size=e).map(tuple).filter(any)
-    cols = draw(st.lists(column, min_size=1, max_size=3))
-    if draw(st.integers(0, 3)):
-        for k in range(e):
-            for a, b in ((draw(st.integers(1, 3)), 0), (0, draw(st.integers(1, 2)))):
-                col = [BiPoly.zero()] * e
-                col[k] = P((a, b, 1), *draw(st.sampled_from(((), ((1, 1, 1),)))))
-                cols.append(tuple(col))
-    return PresMatrix(e, tuple(cols))
 
 
 @settings(max_examples=100, deadline=None)

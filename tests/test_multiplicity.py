@@ -1,13 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import icmod as ic
+import icmod.multiplicity as multiplicity
 from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix
 from icmod.multiplicity import ReductionSample, _sampled_minors
 
-from conftest import direct_sum, permutation_det, term_dict
+from conftest import (direct_sum, permutation_det, small_matrices, term_dict,
+                      truncation_matrices)
 
 
 def free_times_max_ideal(k):
@@ -63,13 +68,68 @@ def test_module_multiplicity_examples(showcase_a):
 
 
 def test_module_multiplicity_infinite_colength():
-    single = PresMatrix(1, ((BiPoly.term(1, 0),),))
-    with pytest.raises(NotFiniteColength, match="truncation cap 16"):
-        ic.module_multiplicity(single, trials=2, seed=0, cap=16)
-    # every 2 x 2 minor of a combination of one column (x, 0) vanishes
-    flat = PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),))
+    # (x) and (x, 0) have a row divisible by x, so no sample is drawn
+    for mat in (PresMatrix(1, ((BiPoly.term(1, 0),),)),
+                PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),))):
+        with pytest.raises(NotFiniteColength) as info:
+            ic.module_multiplicity(mat, trials=2, seed=0, cap=16)
+        assert str(info.value) == "every term of row 0 is divisible by x: infinite length"
+    # generic combinations of x^8, y^8 certify at degree 15 only
+    with pytest.raises(NotFiniteColength, match=r"truncation cap 14 \(4 of 4 trials reached it"):
+        ic.module_multiplicity(ic.from_ideal(ic.canonicalize([(8, 0), (0, 8)])), cap=14)
+    # every 2 x 2 minor of a combination of one column (1, 1) vanishes
+    one = BiPoly.term(0, 0)
     with pytest.raises(NotFiniteColength, match="all 4 samples were degenerate"):
-        ic.module_multiplicity(flat, trials=4, seed=0)
+        ic.module_multiplicity(PresMatrix(2, ((one, one),)), trials=4, seed=0)
+
+
+class Sampled(Exception):
+    """Raised in place of the first sample, to show that one was drawn."""
+
+
+def refuse_to_sample(_mat, _coeffs):
+    raise Sampled
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(), st.data())
+def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(mat, data):
+    row = data.draw(st.integers(0, mat.rank - 1))
+    da, db = data.draw(st.sampled_from(((1, 0), (0, 1))))
+    mat = PresMatrix(mat.rank, tuple(
+        col[:row] + (BiPoly(((m.a + da, m.b + db), c) for m, c in col[row].items()),)
+        + col[row + 1:] for col in mat.cols))
+    with mock.patch.object(multiplicity, "_sampled_minors", refuse_to_sample):
+        with pytest.raises(NotFiniteColength, match=r"^every term of row \d is divisible by "
+                                                    r"[xy]: infinite length$"):
+            ic.module_multiplicity(mat)
+
+
+def assert_samples(mat):
+    with mock.patch.object(multiplicity, "_sampled_minors", refuse_to_sample):
+        with pytest.raises(Sampled):
+            ic.module_multiplicity(mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(truncation_matrices())
+def test_the_row_proof_never_refuses_a_module_of_finite_length(mat):
+    try:
+        ic.colength_module(mat, cap=12)
+    except NotFiniteColength:
+        assume(False)
+    assert_samples(mat)
+
+
+def test_the_row_proof_passes_every_built_module_of_the_6x6_box():
+    for ideal in ic.enumerate_staircases(6, 6, min_r=1):
+        assert_samples(ic.from_ideal(ideal))
+        for e in range(2, ideal.r + 1):
+            try:
+                mat = ic.build_module(ideal.normalized(), e)
+            except (ic.NegativeExponent, ic.RankOutOfRange):
+                continue
+            assert_samples(mat)
 
 
 def test_reduction_at_the_truncation_cap():
@@ -154,4 +214,4 @@ def test_gap_bound_on_direct_sums():
         for p in parts[1:]:
             mat = direct_sum(mat, ic.from_ideal(p))
         rec = ic.audit_gap_bound(mat)
-        assert rec.passed, [p.to_pairs() for p in parts]
+        assert rec["pass"], [p.to_pairs() for p in parts]

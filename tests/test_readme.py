@@ -27,4 +27,4 @@ def test_library_quick_start_prints_what_it_says():
         checked.append(expr.strip())
     # includes the ungraded matrix that mu_module's truncation branch serves
     assert "ic.colength_module(cut), ic.mu_module(cut)" in checked
-    assert len(checked) == 8
+    assert len(checked) == 9
