@@ -43,7 +43,8 @@ class NonMonomialIdeal(RuntimeError):
 
 
 class NotFiniteColength(RuntimeError):
-    """Nakayama certificate failed up to the configured truncation cap."""
+    """Infinite length proven (a divisible row, Fitting's lemma, an unbounded grid cell),
+    or finite length not certified (Nakayama up to the truncation cap, or the sampler)."""
 
 
 @dataclass(frozen=True)
@@ -313,8 +314,20 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     return ideal
 
 
+def refuse_divisible_rows(mat: PresMatrix) -> None:
+    """Refuse a row whose every term is divisible by x (or y); an empty row counts.
+    Expanding each maximal minor along it puts I_e in (x), so the length is infinite
+    (Fitting's lemma).  Sufficient, not complete; it reads entries, not minors."""
+    for i in range(mat.rank):
+        for k, var in enumerate("xy"):
+            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
+                raise NotFiniteColength(f"every term of row {i} is divisible by {var}: "
+                                        f"infinite length")
+
+
 def finite_fitting(mat: PresMatrix) -> MonomialIdeal:
-    """I_e(M), certified; the module has finite length iff it is m-primary (Fitting)."""
+    """I_e(M), certified after refuse_divisible_rows; finite length iff m-primary (Fitting)."""
+    refuse_divisible_rows(mat)
     fit = fitting_ideal(mat, mat.rank)
     if not fit.is_m_primary:
         raise NotFiniteColength(f"minor ideal {fit.to_pairs()} is not m-primary: infinite length")
@@ -323,10 +336,10 @@ def finite_fitting(mat: PresMatrix) -> MonomialIdeal:
 
 def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
     """Monomial ideal the maximal minors must generate, read off the staircase."""
-    module_spec(ideal, rank)  # refuses what the construction refuses
+    _aprime, c = module_spec(ideal, rank)  # refuses what the construction refuses
     gens = list(ideal.gens[: ideal.r - rank + 2])
-    for i in range(1, rank):  # x^(e-1-i) y^(c[i-1]+i), and c[i-1] + i is b of gens[r-e+1+i]
-        gens.append(Monomial(rank - 1 - i, ideal.gens[ideal.r - rank + 1 + i].b))
+    for i in range(1, rank):
+        gens.append(Monomial(rank - 1 - i, c[i - 1] + i))
     return canonicalize(gens)
 
 
@@ -540,15 +553,17 @@ def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     sum over the degree grid, with no cap (build_module's grading comes
     attached, and any other is walked); a nonzero piece on an unbounded cell
     raises NotFiniteColength.  Any other matrix goes to
-    certified_colength, whose truncation degrees stop at the cap.
+    certified_colength, whose truncation degrees stop at the cap.  Before either
+    refusal or any truncation, refuse_divisible_rows runs (never on a finite sweep).
     """
     graded = _grading(mat)
+    colength = None if graded is None else _graded_sweep(*graded[:3])[0]
+    if colength is not None:
+        return colength
+    refuse_divisible_rows(mat)
     if graded is None:
         return certified_colength(mat, cap)[0]
-    colength, _mu = _graded_sweep(*graded[:3])
-    if colength is None:
-        raise NotFiniteColength("the quotient is nonzero on an unbounded cell of the degree grid")
-    return colength
+    raise NotFiniteColength("the quotient is nonzero on an unbounded cell of the degree grid")
 
 
 def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:

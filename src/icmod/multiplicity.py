@@ -25,6 +25,7 @@ from .modmat import (
     colength_module,
     finite_fitting,
     from_ideal,
+    refuse_divisible_rows,
     signed_minor_table,
 )
 from .staircase import MonomialIdeal
@@ -104,19 +105,11 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     provably above the current best abort early; they can never improve the
     minimum.  The smallest truncation degree that certified one trial is the
     degree the next trial builds at first, since generic samples certify at
-    the same degree.
-
-    Before any sample, a row whose every term is divisible by x (or y) is
-    refused: expanding each maximal minor along it puts I_e in (x), so the
-    module has infinite length (Fitting's lemma).  An empty row counts.
+    the same degree.  A divisible row is refused first (refuse_divisible_rows).
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")
-    for i in range(mat.rank):
-        for k, var in enumerate("xy"):
-            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
-                raise NotFiniteColength(f"every term of row {i} is divisible by {var}: "
-                                        f"infinite length")
+    refuse_divisible_rows(mat)
     best: int | None = None
     hits = 0
     best_coeffs: tuple[tuple[int, ...], ...] = ()

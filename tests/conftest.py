@@ -10,13 +10,17 @@ fast enough for exponents in the hundreds: the maximum over all edge forms.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 import icmod as ic
+import icmod.modmat as modmat
+import icmod.multiplicity as multiplicity
 
 
 def lattice_colength(ideal: ic.MonomialIdeal) -> int:
@@ -162,6 +166,24 @@ def direct_sum(p1: ic.PresMatrix, p2: ic.PresMatrix) -> ic.PresMatrix:
     top = [tuple(col) + (zero,) * p2.rank for col in p1.cols]
     bot = [(zero,) * p1.rank + tuple(col) for col in p2.cols]
     return ic.PresMatrix(p1.rank + p2.rank, tuple(top + bot))
+
+
+class Work(Exception):
+    """Raised in place of the first sample, minor table or truncation build."""
+
+
+def _work(*_args):
+    raise Work
+
+
+@contextlib.contextmanager
+def refusing_work():
+    """Make a sample, a minor table or a truncation build raise Work, so that a
+    refusal met inside the block came before all three."""
+    with (mock.patch.object(multiplicity, "_sampled_minors", _work),
+          mock.patch.object(modmat, "signed_minor_table", _work),
+          mock.patch.object(modmat, "_truncation", _work)):
+        yield
 
 
 def permutation_det(entries) -> dict[tuple[int, int], int]:

@@ -18,6 +18,8 @@ import icmod as ic
 from icmod.cli import (ATLAS_COLUMNS, MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS,
                        MAX_TRUNC_CAP, _dump, atlas_rows, main, render_svg)
 
+from conftest import refusing_work
+
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
     path = tmp_path / name
@@ -500,7 +502,7 @@ def test_render_svg(tmp_path, capsys, example_reference, showcase_b):
 
 
 def test_certificate_failure_exit_code(tmp_path, capsys):
-    # a module with infinite colength trips the certificate guardrail
+    # a module with infinite colength exits 3 (its one row is divisible by x)
     mat = ic.PresMatrix(1, ((ic.BiPoly.term(1, 0),),))
     path = tmp_path / "mat.json"
     path.write_text(json.dumps(mat.to_json()))
@@ -532,18 +534,50 @@ def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, c
                    "candidate ideal\n")
 
 
+MATRIX_VERBS = (["length"], ["mult"], ["audit", "--check", "gap-bound"],
+                ["audit", "--check", "summand"])
+ROW_0_DIVISIBLE_BY_X = ("error: NotFiniteColength: every term of row 0 is divisible by x: "
+                        "infinite length\n")
+
+
 def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, capsys):
-    # I_2 = (x^2, xy^3) holds no power of y, so by Fitting's lemma the length is infinite
+    # the columns (x, 0), (0, x), (y, y) have no row divisible by x or y, but I_2 = (x^2, xy)
+    # holds no power of y; the refusals the row proof does not replace name the cell and I_2
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
-                                                    [[], [[0, 3, 1]]]]}))
-    audit = "minor ideal [[2, 0], [1, 3]] is not m-primary: infinite length"
+                                                    [[[0, 1, 1]], [[0, 1, 1]]]]}))
+    audit = "minor ideal [[2, 0], [1, 1]] is not m-primary: infinite length"
     for verb, reason in (
             (["length"], "the quotient is nonzero on an unbounded cell of the degree grid"),
-            (["mult"], "every term of row 0 is divisible by x: infinite length"),
             (["audit", "--check", "gap-bound"], audit), (["audit", "--check", "summand"], audit)):
         code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
         assert (code, out, err) == (3, "", f"error: NotFiniteColength: {reason}\n"), verb
+    # I_2 = (x^2, xy^3): every term of row 0 is divisible by x, so every verb gives that line
+    path.write_text(json.dumps({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
+                                                    [[], [[0, 3, 1]]]]}))
+    with refusing_work():
+        for verb in MATRIX_VERBS:
+            code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
+            assert (code, out, err) == (3, "", ROW_0_DIVISIBLE_BY_X), verb
+
+
+def test_multi_term_modules_with_a_divisible_row_exit_3_before_any_minor(tmp_path, capsys):
+    # rank 6 with 12 columns of two-term entries, whose minor table once ran the matrix
+    # audits out of memory, and rank 3 with 4 columns of 30-term entries; both are drawn
+    # from one generator, with exponents below 1000, and every term of row 0 has positive
+    # x-degree
+    rng = random.Random(1)
+    path = tmp_path / "mat.json"
+    for e, n, terms in ((6, 12, 2), (3, 4, 30)):
+        path.write_text(json.dumps({"rank": e, "cols": [[[
+            [rng.randrange(1000), rng.randrange(1000), rng.choice([-1, 1]) * rng.randint(1, 9)]
+            for _ in range(terms)] for _ in range(e)] for _ in range(n)]}))
+        for verb in MATRIX_VERBS:
+            start = time.perf_counter()
+            with refusing_work():
+                code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
+            assert (code, out, err) == (3, "", ROW_0_DIVISIBLE_BY_X), (e, verb)
+            assert time.perf_counter() - start < 1.0, (e, verb)
 
 
 def test_mult_refuses_a_wide_matrix_before_it_samples(tmp_path, capsys):
@@ -691,7 +725,7 @@ def test_length_of_constructed_modules_of_high_degree():
     code, out, err = _run_on_stdin(["length", "-"], json.loads(out))
     assert code == 4 and not out and "capped" in err
 
-    # infinite colength still fails the certificate at the default cap
+    # infinite colength still exits 3 (its one row is divisible by x)
     code, out, err = _run_on_stdin(["length", "-"], {"rank": 1, "cols": [[[[1, 0, 1]]]]})
     assert code == 3 and not out and "NotFiniteColength" in err
 

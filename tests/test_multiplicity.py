@@ -1,18 +1,17 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import icmod as ic
-import icmod.multiplicity as multiplicity
+import icmod.modmat as modmat
 from icmod.algebra import BiPoly
-from icmod.modmat import NotFiniteColength, PresMatrix
+from icmod.modmat import NotFiniteColength, PresMatrix, certified_colength
 from icmod.multiplicity import ReductionSample, _sampled_minors
 
-from conftest import (direct_sum, permutation_det, small_matrices, term_dict,
-                      truncation_matrices)
+from conftest import (Work, direct_sum, permutation_det, refusing_work, small_matrices,
+                      term_dict, truncation_matrices)
 
 
 def free_times_max_ideal(k):
@@ -83,42 +82,46 @@ def test_module_multiplicity_infinite_colength():
         ic.module_multiplicity(PresMatrix(2, ((one, one),)), trials=4, seed=0)
 
 
-class Sampled(Exception):
-    """Raised in place of the first sample, to show that one was drawn."""
+# every entry point that refuses infinite length through the row proof
+ROW_PROOF_ENTRIES = pytest.mark.parametrize(
+    "entry", [ic.module_multiplicity, modmat.finite_fitting, ic.colength_module],
+    ids=lambda f: f.__name__)
 
 
-def refuse_to_sample(_mat, _coeffs):
-    raise Sampled
-
-
+@ROW_PROOF_ENTRIES
 @settings(max_examples=100, deadline=None)
 @given(small_matrices(), st.data())
-def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(mat, data):
+def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(entry, mat, data):
     row = data.draw(st.integers(0, mat.rank - 1))
     da, db = data.draw(st.sampled_from(((1, 0), (0, 1))))
     mat = PresMatrix(mat.rank, tuple(
         col[:row] + (BiPoly(((m.a + da, m.b + db), c) for m, c in col[row].items()),)
         + col[row + 1:] for col in mat.cols))
-    with mock.patch.object(multiplicity, "_sampled_minors", refuse_to_sample):
+    with refusing_work():
         with pytest.raises(NotFiniteColength, match=r"^every term of row \d is divisible by "
                                                     r"[xy]: infinite length$"):
-            ic.module_multiplicity(mat)
+            entry(mat)
 
 
 def assert_samples(mat):
-    with mock.patch.object(multiplicity, "_sampled_minors", refuse_to_sample):
-        with pytest.raises(Sampled):
+    with refusing_work():
+        with pytest.raises(Work):
             ic.module_multiplicity(mat)
 
 
+@ROW_PROOF_ENTRIES
 @settings(max_examples=100, deadline=None)
 @given(truncation_matrices())
-def test_the_row_proof_never_refuses_a_module_of_finite_length(mat):
+def test_the_row_proof_never_refuses_a_module_of_finite_length(entry, mat):
     try:
-        ic.colength_module(mat, cap=12)
+        certified_colength(mat, 12)
     except NotFiniteColength:
         assume(False)
-    assert_samples(mat)
+    with refusing_work():
+        try:
+            entry(mat)  # a value, or the work that follows the proof
+        except Work:
+            pass
 
 
 def test_the_row_proof_passes_every_built_module_of_the_6x6_box():
@@ -183,14 +186,19 @@ def test_difference_formula_examples(showcase_a):
 
 
 def test_difference_formula_refuses_infinite_length_as_the_audits_do():
-    # I_2 = (x^2, xy^3) holds no power of y, so by Fitting's lemma the length is infinite
-    mat = ic.matrix_from_json({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
-                                                   [[], [[0, 3, 1]]]]})
-    for check in (ic.check_difference_formula, ic.audit_gap_bound, ic.audit_summand_hypotheses):
-        with pytest.raises(NotFiniteColength) as info:
-            check(mat)
-        assert str(info.value) == ("minor ideal [[2, 0], [1, 3]] is not m-primary: "
-                                   "infinite length"), check.__name__
+    # I_2 = (x^2, xy^3) holds no power of y, and every term of row 0 is divisible by x;
+    # the columns (x, 0), (0, x), (y, y) have no such row, and I_2 = (x^2, xy)
+    for cols, reason in (
+            ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[], [[0, 3, 1]]]],
+             "every term of row 0 is divisible by x: infinite length"),
+            ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[[0, 1, 1]], [[0, 1, 1]]]],
+             "minor ideal [[2, 0], [1, 1]] is not m-primary: infinite length")):
+        mat = ic.matrix_from_json({"rank": 2, "cols": cols})
+        for check in (ic.check_difference_formula, ic.audit_gap_bound,
+                      ic.audit_summand_hypotheses):
+            with pytest.raises(NotFiniteColength) as info:
+                check(mat)
+            assert str(info.value) == reason, check.__name__
 
 
 def test_dual_oracle_on_complete_box_and_random_noncomplete():
