@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd
 
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
 from .staircase import MonomialIdeal, canonicalize, minimal_pairs
@@ -465,7 +466,43 @@ def _column_terms(mat: PresMatrix) -> list[tuple[list[tuple[int, int, int, int]]
     return cols
 
 
-def _truncation(cols, e: int, deg: int) -> tuple[PivotSpan, int]:
+def _relation_leads(relations, ncols: int) -> list[list[tuple[int, int]]]:
+    """Leading monomials, per column, of an echelon basis of the relations' span over Q.
+
+    A relation r lists one polynomial per column with sum_j r_j col_j = 0.  Its
+    terms x^a y^b e_j are ordered by the key (a + b, a, j), and its leading term
+    has the least key: lowest total degree first, as in a local order, then the
+    x-exponent, then the column.  The key is additive under monomial shifts, so
+    for a relation led by x^a y^b e_j and any shift s, s x^a y^b col_j is a
+    combination of the shifted columns s m col_k whose terms (m, k) come after
+    the lead.  Fraction-free integer elimination on the least keys gives a basis
+    whose leads are distinct.
+    """
+    pivots: dict[tuple[int, int, int], dict] = {}
+    for rel in relations:
+        row = {(m.a + m.b, m.a, j): c for j, poly in enumerate(rel) for m, c in poly.items()}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            g = gcd(piv[lead], row[lead])
+            p, q = piv[lead] // g, row[lead] // g
+            row = {t: p * v for t, v in row.items()}
+            for t, v in piv.items():
+                w = row.get(t, 0) - q * v
+                if w:
+                    row[t] = w
+                else:
+                    row.pop(t, None)
+    leads: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for t, a, j in pivots:
+        leads[j].append((a, t - a))
+    return leads
+
+
+def _truncation(cols, e: int, deg: int, leads=None) -> tuple[PivotSpan, int]:
     """Span of every monomial multiple of the columns of degree <= deg.
 
     Coordinates are numbered degree first: x^a y^b in component k sits at
@@ -475,17 +512,28 @@ def _truncation(cols, e: int, deg: int) -> tuple[PivotSpan, int]:
     themselves go last, and the second value counts the columns that still
     raised the rank.  Pivots lead at their minimal coordinate, so projected to
     the prefix of degree <= t this elimination is the one at t.
+
+    leads (from _relation_leads) lists per column the leading monomials of its
+    relations; a shift divisible by one of them is skipped.  The skipped row is a
+    combination of rows behind it in the order, each built, skipped in turn, or
+    of degree above deg and so zero in the truncation; the span, its rank, its
+    pivot leads and top are those of the full build (gained is not, so mu_module
+    passes none).
     """
     span = PivotSpan(e * tri(deg + 1))
     gained = 0
     for d in range(deg, -1, -1):
-        for terms, ordj in cols:
+        for j, (terms, ordj) in enumerate(cols):
             if ordj + d > deg:
                 continue
+            # x^alpha y^(d - alpha) is a multiple of the lead x^a y^b when a <= alpha <= d - b
+            covered = {alpha for a, b in leads[j] for alpha in range(a, d - b + 1)} if leads else ()
             # y^d times the column; x^alpha y^(d - alpha) sits alpha coordinates below it
             base = [(e * tri(t) + k * (t + 1) + b + d, c)
                     for k, a, b, c in terms if (t := a + b + d) <= deg]
             for alpha in range(d + 1):
+                if alpha in covered:
+                    continue
                 if span.add([(u - alpha, c) for u, c in base]) and not d:
                     gained += 1
     return span, gained
@@ -519,7 +567,7 @@ def _degrees(cols, cap: int, start: int | None):
 
 
 def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None,
-                       start: int | None = None) -> tuple[int, int] | None:
+                       start: int | None = None, relations=()) -> tuple[int, int] | None:
     """Certified colength and the smallest truncation degree that certifies it.
 
     Builds at the degrees start, start + 2, ... below the cap, and last at the
@@ -531,11 +579,17 @@ def certified_colength(mat: PresMatrix, cap: int, abort_above: int | None = None
     deficiency, a lower bound on the colength, exceeds abort_above.  This is
     the truncation engine, for any matrix; the reduction sampler calls it
     directly.
+
+    relations are syzygies of the columns, each one polynomial per column with
+    sum_j r_j col_j = 0; the caller vouches for them.  Every build skips the
+    shifted columns that their leading terms prove redundant (_relation_leads),
+    which leaves the span, and so every value returned, unchanged.
     """
     cols = _column_terms(mat)
     e = mat.rank
+    leads = _relation_leads(relations, mat.ncols) if relations else None
     for deg in _degrees(cols, cap, start):
-        span, _gained = _truncation(cols, e, deg)
+        span, _gained = _truncation(cols, e, deg, leads)
         deficiency = e * tri(deg + 1) - span.rank
         if abort_above is not None and deficiency > abort_above:
             return None

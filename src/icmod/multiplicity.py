@@ -67,11 +67,15 @@ def _derived_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def _sampled_minors(mat: PresMatrix, coeffs) -> list[BiPoly]:
-    """Maximal minors of the e x (e+1) matrix with column k = mat * coeffs[k].
+def _sampled_reduction(mat: PresMatrix, coeffs) -> tuple[list[BiPoly], list[tuple[BiPoly, ...]]]:
+    """Nonzero maximal minors of the e x (e+1) matrix A with column k = mat * coeffs[k],
+    and the relations among them.
 
-    The k-th minor omits column k.  Empty when a combined column vanishes:
-    every minor but one is zero then.
+    The k-th minor g_k omits column k.  Expanding the determinant of A with row
+    i repeated gives sum_k (-1)^k a_ik g_k = 0, so row i yields the relation
+    ((-1)^k a_ik) over the k with g_k nonzero, in the order of the minors
+    returned.  Both lists are empty when a combined column vanishes: every
+    minor but one is zero then.
     """
     e = mat.rank
     cols = []
@@ -81,11 +85,14 @@ def _sampled_minors(mat: PresMatrix, coeffs) -> list[BiPoly]:
             for i in range(e)
         )
         if not any(col):
-            return []
+            return [], []
         cols.append(col)
     table = signed_minor_table(PresMatrix(e, tuple(cols)))
     full = (1 << (e + 1)) - 1
-    return [BiPoly(table.get(full ^ (1 << k))) for k in range(e + 1)]
+    live = [k for k in range(e + 1) if full ^ (1 << k) in table]
+    relations = [tuple(BiPoly((mon, -c) for mon, c in cols[k][i].items()) if k & 1 else cols[k][i]
+                       for k in live) for i in range(e)]
+    return [BiPoly(table[full ^ (1 << k)]) for k in live], relations
 
 
 def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
@@ -106,6 +113,9 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     minimum.  The smallest truncation degree that certified one trial is the
     degree the next trial builds at first, since generic samples certify at
     the same degree.  A divisible row is refused first (refuse_divisible_rows).
+    At e >= 2 the sampled matrix's own relations among its minors
+    (_sampled_reduction) go to certified_colength, whose builds skip the rows
+    they prove redundant; every value and degree stays as without them.
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")
@@ -121,7 +131,7 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
             tuple(rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(mat.ncols))
             for _ in range(mat.rank + 1)
         )
-        gens = [g for g in _sampled_minors(mat, coeffs) if g]
+        gens, relations = _sampled_reduction(mat, coeffs)
         if len(gens) < 2:
             degenerate += 1
             continue
@@ -130,8 +140,10 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
             orders = sorted(g.order for g in gens)
             start = max(3, orders[0] + orders[1] + 1)
         try:
+            # at e = 1 the one relation is Koszul's, whose skips were measured not to pay
             found = certified_colength(PresMatrix(1, tuple((g,) for g in gens)), cap,
-                                       abort_above=best, start=start)
+                                       abort_above=best, start=start,
+                                       relations=relations if mat.rank > 1 else ())
         except NotFiniteColength:
             capped += 1
             continue

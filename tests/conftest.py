@@ -168,11 +168,37 @@ def direct_sum(p1: ic.PresMatrix, p2: ic.PresMatrix) -> ic.PresMatrix:
     return ic.PresMatrix(p1.rank + p2.rank, tuple(top + bot))
 
 
+def ideal_sum(ideals) -> ic.PresMatrix:
+    """Presentation of I_1 + ... + I_p inside the rank-p free module: row k holds
+    the generators of I_k, one single-term column each."""
+    mat = ic.from_ideal(ideals[0])
+    for ideal in ideals[1:]:
+        mat = direct_sum(mat, ic.from_ideal(ideal))
+    return mat
+
+
+def mixed_multiplicity(i: ic.MonomialIdeal, j: ic.MonomialIdeal) -> int:
+    """e(I | J) = (e(IJ) - e(I) - e(J)) / 2, the mixed multiplicity of two m-primary ideals."""
+    twice = (ic.area_multiplicity(i * j) - ic.area_multiplicity(i)
+             - ic.area_multiplicity(j))
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def kirby_rees_multiplicity(ideals) -> int:
+    """Buchsbaum-Rim multiplicity of I_1 + ... + I_p by Kirby and Rees: the sum of
+    the e(I_k) and of the mixed e(I_k | I_l) over k < l ("Multiplicities in graded
+    rings I: the general theory", Contemp. Math. 159, 1994).  Each e is an area,
+    so no sample is drawn."""
+    return (sum(ic.area_multiplicity(i) for i in ideals)
+            + sum(mixed_multiplicity(i, j) for i, j in combinations(ideals, 2)))
+
+
 class Work(Exception):
     """Raised in place of the first sample, minor table or truncation build."""
 
 
-def _work(*_args):
+def _work(*_args, **_kwargs):
     raise Work
 
 
@@ -180,7 +206,7 @@ def _work(*_args):
 def refusing_work():
     """Make a sample, a minor table or a truncation build raise Work, so that a
     refusal met inside the block came before all three."""
-    with (mock.patch.object(multiplicity, "_sampled_minors", _work),
+    with (mock.patch.object(multiplicity, "_sampled_reduction", _work),
           mock.patch.object(modmat, "signed_minor_table", _work),
           mock.patch.object(modmat, "_truncation", _work)):
         yield

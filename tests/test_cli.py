@@ -406,6 +406,36 @@ def test_mult_command(tmp_path, capsys, showcase_a):
     assert obj["reduction"]["certified"] is True
 
 
+# built modules of rank 2-4 with the compact stdout of `--json --seed <seed> mult` and a
+# digest of the winning sample's coefficients, recorded before the sampler's truncation
+# builds skipped the rows that its relations make redundant
+MULT_MATRIX_BYTES = [
+    ([(7, 0), (4, 1), (3, 2), (2, 4), (1, 5), (0, 9)], 2, 0, 33, "e951a348d1130c0c"),
+    ([(7, 0), (4, 1), (3, 2), (2, 4), (1, 5), (0, 9)], 3, 1, 31, "b639ad7e06bfc534"),
+    ([(7, 0), (4, 1), (3, 2), (2, 4), (1, 5), (0, 9)], 4, 2, 28, "621d516801267da6"),
+    ([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 9)], 2, 3, 36, "bb07a3dd3a215f26"),
+    ([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 9)], 3, 4, 34, "63d2dbd86d1ed3cd"),
+    ([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 9)], 4, 5, 31, "7a2ecd0e890bdc90"),
+    ([(8, 0), (6, 1), (3, 2), (2, 3), (1, 4), (0, 8)], 2, 6, 33, "7e1334f563939e63"),
+    ([(8, 0), (6, 1), (3, 2), (2, 3), (1, 4), (0, 8)], 3, 7, 31, "6d372ef8bda89de0"),
+    ([(8, 0), (6, 1), (3, 2), (2, 3), (1, 4), (0, 8)], 4, 8, 28, "2241f4cc3ebe6832"),
+    ([(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)], 4, 9, 10, "ca5a66843d5ba789"),
+]
+
+
+def test_mult_bytes_on_built_modules_are_pinned(tmp_path, capsys):
+    for gens, e, seed, value, digest in MULT_MATRIX_BYTES:
+        mat = ic.build_module(ic.canonicalize(gens), e)
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(mat.to_json()))
+        code, out, err = run(capsys, ["--json", "--seed", str(seed), "mult", str(path)])
+        assert (code, err) == (0, "")
+        assert out == ('{"reduction":{"certified":true,"seed":%d,"trials":4,"value":%d}}\n'
+                       % (seed, value))
+        coeffs = ic.module_multiplicity(mat, seed=seed).coefficients
+        assert hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()[:16] == digest
+
+
 def test_audit_command(tmp_path, capsys, showcase_a, showcase_b):
     path = write_ideal(tmp_path, showcase_a)
     code, out, _ = run(capsys, ["audit", path, "--check", "gap-equality", "--rank", "4"])
@@ -810,6 +840,38 @@ def _run_on_stdin(argv, obj):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+GOLDEN_REPLAY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import icmod
+import icmod.cli
+from workloads import call_cli, cli_pools, request_key, stdout_digest
+replies = {}
+for pool in cli_pools(icmod).values():
+    for argv, stdin in pool[:int(sys.argv[2])]:
+        code, text = call_cli(icmod.cli.main, argv, stdin)
+        replies[request_key(argv, stdin)] = [code, stdout_digest(text)]
+print(json.dumps(replies))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_recorded_cli_digests_replay_in_a_fresh_interpreter(hash_seed):
+    # perfbench/cli_golden.json holds the stdout digest of every cli-mix request; the
+    # head of each pool, replayed in a fresh process under a fixed hash seed, prints
+    # the recorded bytes, so no reply depends on set or dict iteration of strings
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    golden = json.loads((perfbench / "cli_golden.json").read_text())
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(Path(ic.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", GOLDEN_REPLAY, str(perfbench), "5"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    replies = json.loads(done.stdout)
+    assert len(replies) == 60
+    assert replies == {key: [0, golden[key]] for key in replies}
 
 
 def test_reused_parser_answers_like_a_fresh_process(monkeypatch, example_reference):

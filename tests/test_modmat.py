@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
@@ -16,12 +18,14 @@ from icmod.modmat import (
     _column_terms,
     _forest_fitting,
     _grading,
+    _relation_leads,
     _truncation,
     certified_colength,
 )
+from icmod.multiplicity import COEFF_BOUND, _sampled_reduction
 
 from conftest import (P, brute_fitting, brute_minors, direct_sum, is_contracted_numeric,
-                      lattice_colength, rank_exact, small_matrices, term_dict,
+                      lattice_colength, rank_exact, small_entries, small_matrices, term_dict,
                       truncation_matrices)
 
 
@@ -483,6 +487,127 @@ def test_truncation_reads_every_lower_degree_off_one_elimination(mat, deg):
             certified_colength(mat, deg, start=0)
     else:
         assert certified_colength(mat, deg, start=0) == (read_at(span, e, deg)[0], smallest)
+
+
+# ---------------------------------------------------------------------------
+# relations: the rows a build skips leave its span as it was
+# ---------------------------------------------------------------------------
+
+BOX4_MODULES = [(ideal, e) for ideal in ic.enumerate_staircases(4, 4, min_r=2)
+                if ideal.is_normalized for e in range(2, ideal.r + 1)
+                if ideal.gens[ideal.r - e + 1].a >= e - 1]  # module_spec's shifted exponent
+
+
+def sampled_reduction(ideal, e, seed):
+    """A sampled reduction of a built module, as the sampler draws it: the rank-one
+    matrix of its nonzero minors, and their relations."""
+    mat = ic.build_module(ideal, e)
+    rng = random.Random(seed)
+    coeffs = [[rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in range(mat.ncols)]
+              for _ in range(e + 1)]
+    gens, relations = _sampled_reduction(mat, coeffs)
+    return PresMatrix(1, tuple((g,) for g in gens)), relations
+
+
+def shifted(relations, shifts=((1, 0), (0, 1))):
+    """The relations followed by their multiples by each monomial shift.  A
+    multiplicative order leads s r at s times the lead of r, so the multiples skip
+    no row of their own; an order that is not multiplicative can lead them elsewhere."""
+    return list(relations) + [tuple(BiPoly(((m.a + da, m.b + db), c) for m, c in poly.items())
+                                    for poly in rel)
+                              for da, db in shifts for rel in relations]
+
+
+def koszul(mat):
+    """The relations g_l e_k - g_k e_l, k < l, among the entries of a rank-one matrix."""
+    gens = [col[0] for col in mat.cols]
+    zero = BiPoly.zero()
+    out = []
+    for k in range(len(gens)):
+        for l in range(k + 1, len(gens)):
+            rel = [zero] * len(gens)
+            rel[k] = gens[l]
+            rel[l] = BiPoly((m, -c) for m, c in gens[k].items())
+            out.append(tuple(rel))
+    return out
+
+
+def colength_or_cap(mat, cap, **kwargs):
+    try:
+        return certified_colength(mat, cap, **kwargs)
+    except NotFiniteColength:
+        return "cap"
+
+
+def assert_skips_change_no_build(mat, relations, top_deg):
+    cols = _column_terms(mat)
+    leads = _relation_leads(relations, mat.ncols)
+    assert any(leads)
+    for deg in range(top_deg + 1):
+        full, _gained = _truncation(cols, mat.rank, deg)
+        skipping, _gained = _truncation(cols, mat.rank, deg, leads)
+        assert (skipping.rank, set(skipping.pivots), skipping.top) == (
+            full.rank, set(full.pivots), full.top), deg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BOX4_MODULES), st.integers(0, 10 ** 6))
+def test_relations_change_no_build_of_a_sampled_reduction(module, seed):
+    # the rank, the pivot leads and top of every build, and so the values returned
+    mat, relations = sampled_reduction(*module, seed)
+    assume(mat.ncols >= 2)
+    found = colength_or_cap(mat, DEFAULT_CAP)
+    assert found != "cap"
+    assert colength_or_cap(mat, DEFAULT_CAP, relations=relations) == found
+    assert_skips_change_no_build(mat, shifted(relations), found[1] + 2)
+
+
+def test_relations_skip_rows_of_every_sampled_reduction_of_the_4x4_box(monkeypatch):
+    rows = []
+    add = PivotSpan.add
+    monkeypatch.setattr(PivotSpan, "add", lambda span, row: rows.append(1) or add(span, row))
+    full = kept = 0
+    for ideal, e in BOX4_MODULES:
+        mat, relations = sampled_reduction(ideal, e, 0)
+        value, degree = certified_colength(mat, DEFAULT_CAP)
+        full += len(rows)
+        rows.clear()
+        assert certified_colength(mat, DEFAULT_CAP, relations=relations) == (value, degree)
+        kept += len(rows)
+        rows.clear()
+        assert_skips_change_no_build(mat, relations, degree)
+    assert kept < 0.8 * full
+
+
+@st.composite
+def rank_one_matrices(draw):
+    """Two to five multi-term generators of an ideal, most often with x^a and y^b among them."""
+    gens = draw(st.lists(small_entries.filter(bool), min_size=1, max_size=3))
+    if draw(st.integers(0, 3)):
+        gens += [P((draw(st.integers(1, 4)), 0, 1)), P((0, draw(st.integers(1, 4)), 1))]
+    assume(len(gens) >= 2)
+    return PresMatrix(1, tuple((g,) for g in gens))
+
+
+def test_a_koszul_relation_and_its_multiple_keep_the_maximal_ideal():
+    # x e_0 - y e_1 on (y, x) is led by y e_1 and its x-multiple by xy e_1; an order
+    # that led the multiple at x^2 e_0 would skip both rows that reach x^2 y,
+    # x^2 times column 0 and xy times column 1
+    mat = PresMatrix(1, ((Y,), (X,)))
+    relations = shifted(koszul(mat), ((1, 0),))
+    assert _relation_leads(relations, 2) == [[], [(0, 1), (1, 1)]]
+    assert certified_colength(mat, 8, start=0, relations=relations) == (1, 1)
+    assert_skips_change_no_build(mat, relations, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_one_matrices(), st.integers(0, 6))
+def test_koszul_relations_change_no_build_of_a_rank_one_matrix(mat, deg):
+    relations = shifted(koszul(mat))
+    assert colength_or_cap(mat, 10, relations=relations) == colength_or_cap(mat, 10)
+    assert colength_or_cap(mat, 10, start=0, relations=relations) == colength_or_cap(
+        mat, 10, start=0)
+    assert_skips_change_no_build(mat, relations, deg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,10 +9,10 @@ import icmod as ic
 import icmod.modmat as modmat
 from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix, certified_colength
-from icmod.multiplicity import ReductionSample, _sampled_minors
+from icmod.multiplicity import ReductionSample, _sampled_reduction
 
-from conftest import (Work, direct_sum, permutation_det, refusing_work, small_matrices,
-                      term_dict, truncation_matrices)
+from conftest import (Work, direct_sum, ideal_sum, kirby_rees_multiplicity, permutation_det,
+                      refusing_work, small_matrices, term_dict, truncation_matrices)
 
 
 def free_times_max_ideal(k):
@@ -103,6 +104,14 @@ def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(entry, mat, 
             entry(mat)
 
 
+def test_refusing_work_refuses_calls_with_keyword_arguments():
+    with refusing_work():
+        for call in (lambda: modmat._truncation([], 1, 0, leads=None),
+                     lambda: modmat.signed_minor_table(mat=None)):
+            with pytest.raises(Work):
+                call()
+
+
 def assert_samples(mat):
     with refusing_work():
         with pytest.raises(Work):
@@ -150,17 +159,112 @@ def test_sampled_minors_match_permutation_expansion(showcase_a):
     rng = random.Random(42)
     # coeffs[k][j] weights column j of mat in combination k
     coeffs = [[rng.randint(-5, 5) for _ in range(mat.ncols)] for _ in range(4)]
-    minors = _sampled_minors(mat, coeffs)
+    minors, _relations = _sampled_reduction(mat, coeffs)
     # the combined 3x4 polynomial matrix w[i][k] = sum over j of coeffs[k][j] * mat[i][j]
     # (the constructor adds up repeated monomials), expanded independently
     w = [[BiPoly((mon, c * w_j) for col, w_j in zip(mat.cols, weights) for mon, c in col[i].items())
           for weights in coeffs] for i in range(3)]
-    for drop in range(4):
-        entries = [[w[i][k] for k in range(4) if k != drop] for i in range(3)]
-        assert term_dict(minors[drop]) == permutation_det(entries)
+    expanded = [permutation_det([[w[i][k] for k in range(4) if k != drop] for i in range(3)])
+                for drop in range(4)]
+    assert all(expanded)
+    assert [term_dict(g) for g in minors] == expanded
     # a combination that kills a column leaves a degenerate draw
     coeffs[3] = [0] * mat.ncols
-    assert _sampled_minors(mat, coeffs) == []
+    assert _sampled_reduction(mat, coeffs) == ([], [])
+
+
+def combined(mat, coeffs):
+    """The sampled matrix w[i][k] = sum over j of coeffs[k][j] * mat[i][j], built apart
+    from the library (the constructor adds up repeated monomials)."""
+    return [[BiPoly((mon, c * w_j) for col, w_j in zip(mat.cols, weights)
+                    for mon, c in col[i].items())
+             for weights in coeffs] for i in range(mat.rank)]
+
+
+def sum_of_products(pairs) -> dict:
+    """sum f * g over the pairs, as a term dict without zero coefficients."""
+    total: dict = {}
+    for f, g in pairs:
+        for m, c in f.items():
+            for n, d in g.items():
+                key = (m.a + n.a, m.b + n.b)
+                total[key] = total.get(key, 0) + c * d
+    return {key: c for key, c in total.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices().filter(lambda m: m.rank >= 2), st.randoms(use_true_random=False))
+def test_each_sampled_relation_vanishes_on_the_minors(mat, rng):
+    # expanding det A with row i repeated: sum over k of (-1)^k a_ik g_k = 0
+    e = mat.rank
+    coeffs = [[rng.randint(-3, 3) for _ in range(mat.ncols)] for _ in range(e + 1)]
+    minors, relations = _sampled_reduction(mat, coeffs)
+    w = combined(mat, coeffs)
+    if not all(any(w[i][k] for i in range(e)) for k in range(e + 1)):
+        assert (minors, relations) == ([], [])
+        return
+    expanded = [BiPoly(permutation_det([[w[i][k] for k in range(e + 1) if k != drop]
+                                        for i in range(e)])) for drop in range(e + 1)]
+    live = [k for k in range(e + 1) if expanded[k]]
+    assert minors == [expanded[k] for k in live]
+    assert relations == [tuple(BiPoly((m, (-1) ** k * c) for m, c in w[i][k].items())
+                               for k in live) for i in range(e)]
+    for rel in relations:
+        assert sum_of_products(zip(rel, minors)) == {}
+
+
+def test_built_modules_sample_relations_that_vanish(showcase_a):
+    for e in (2, 3, 4):
+        mat = ic.build_module(showcase_a, e)
+        rng = random.Random(e)
+        coeffs = [[rng.randint(-9, 9) for _ in range(mat.ncols)] for _ in range(e + 1)]
+        minors, relations = _sampled_reduction(mat, coeffs)
+        assert len(minors) == e + 1 and len(relations) == e
+        for rel in relations:
+            assert any(rel) and sum_of_products(zip(rel, minors)) == {}
+        # equal combinations 0 and e leave g_0 and g_e, so each relation has two terms
+        # whose signs, 1 and (-1)^e, are read off k and not off the position
+        coeffs[e] = coeffs[0]
+        minors, relations = _sampled_reduction(mat, coeffs)
+        assert len(minors) == 2
+        for rel in relations:
+            assert sum_of_products(zip(rel, minors)) == {}
+
+
+BOX3 = list(ic.enumerate_staircases(3, 3))
+
+
+def test_kirby_rees_oracle_examples():
+    m = ic.maximal_ideal_power(1)
+    assert kirby_rees_multiplicity([m]) == 1
+    for k in (2, 3, 4):  # e(m R^k) = k(k + 1) / 2
+        assert kirby_rees_multiplicity([m] * k) == k * (k + 1) // 2
+    # e(I | m) is the order of I, here 2
+    assert kirby_rees_multiplicity([ic.canonicalize([(2, 0), (0, 3)]), m]) == 6 + 1 + 2
+
+
+def test_module_multiplicity_equals_kirby_rees_on_every_pair_of_the_3x3_box():
+    # certified values are checked before refusals, so a sampler that certifies a
+    # wrong minimum fails on that value
+    wrong, uncertified = [], []
+    for pair in combinations_with_replacement(BOX3, 2):
+        names = [ideal.to_pairs() for ideal in pair]
+        try:
+            value = ic.module_multiplicity(ideal_sum(pair)).value
+        except ic.Uncertified:
+            uncertified.append(names)
+            continue
+        if value != kirby_rees_multiplicity(pair):
+            wrong.append((names, value, kirby_rees_multiplicity(pair)))
+    assert wrong == []
+    assert uncertified == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(BOX3), min_size=2, max_size=3), st.integers(0, 3))
+def test_module_multiplicity_equals_kirby_rees_on_sums_of_the_3x3_box(ideals, seed):
+    sample = ic.module_multiplicity(ideal_sum(ideals), seed=seed)
+    assert sample.value == kirby_rees_multiplicity(ideals)
 
 
 def test_seed_determinism_and_seed_invariance(showcase_b):
