@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd, prod
 
 from .algebra import BiPoly, GraphSpan, Monomial, PivotSpan, X, Y, tri
 from .staircase import MonomialIdeal, canonicalize, minimal_pairs
@@ -44,8 +44,8 @@ class NonMonomialIdeal(RuntimeError):
 
 
 class NotFiniteColength(RuntimeError):
-    """Infinite length proven (a divisible row, Fitting's lemma, an unbounded grid cell),
-    or finite length not certified (Nakayama up to the truncation cap, or the sampler)."""
+    """Infinite length proven (refuse_infinite_length), or finite length not
+    certified (Nakayama up to the truncation cap, or the sampler)."""
 
 
 @dataclass(frozen=True)
@@ -315,24 +315,71 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     return ideal
 
 
-def refuse_divisible_rows(mat: PresMatrix) -> None:
-    """Refuse a row whose every term is divisible by x (or y); an empty row counts.
-    Expanding each maximal minor along it puts I_e in (x), so the length is infinite
-    (Fitting's lemma).  Sufficient, not complete; it reads entries, not minors."""
-    for i in range(mat.rank):
-        for k, var in enumerate("xy"):
-            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
-                raise NotFiniteColength(f"every term of row {i} is divisible by {var}: "
-                                        f"infinite length")
+def _rank(cols, e: int) -> int:
+    """Rank over Q of integer columns on e rows, each a list of (row, value) pairs."""
+    span = PivotSpan(e)
+    for col in cols:
+        if span.add(col) and span.rank == e:
+            break
+    return span.rank
+
+
+def refuse_infinite_length(mat: PresMatrix) -> None:
+    """Refuse a module whose I_e is not m-primary, so of infinite length (Fitting's lemma).
+
+    x divides every maximal minor iff M(0, y), M with every term of positive
+    x-degree dropped, has rank below e over Q(y).  Its rank at y = 1 is no
+    larger, so rank e there passes; a graded M, where M(0, y) = diag(y^-w) C
+    diag(y^delta), has there the rank it has over Q(y).  Otherwise the rank
+    is read at y = t, with t the bound e! prod_i max_j |M(0, .)_ij|_1 on the
+    absolute coefficient sum of every maximal minor of M(0, y), plus 2: no
+    root of a nonzero one (Cauchy's bound).  Before that, a row whose every
+    term is divisible by x or y (an empty row counts) is named, since it puts
+    every maximal minor in that ideal by expansion along it.  The same runs
+    for y.  A square M has I_e = (det M), in m iff M(0, 0) has rank below e.
+    The proof is complete on graded input: I_e is monomial, and if not
+    m-primary it lies in (x) or (y).
+    """
+    e = mat.rank
+    at_one: tuple[list, list] = ([], [])  # M(0, 1) and M(1, 0)
+    for col in mat.cols:
+        x_free, y_free = [], []
+        for i, entry in enumerate(col):
+            sx = sy = 0
+            for (a, b), c in entry.items():
+                if not a:
+                    sx += c
+                if not b:
+                    sy += c
+            x_free.append((i, sx))
+            y_free.append((i, sy))
+        at_one[0].append(x_free)
+        at_one[1].append(y_free)
+    for k, var in enumerate("xy"):
+        if _rank(at_one[k], e) == e:
+            continue
+        for i in range(e):
+            for row_k, row_var in enumerate("xy"):
+                if all(mon[row_k] for col in mat.cols for mon, _c in col[i].items()):
+                    raise NotFiniteColength(f"every term of row {i} is divisible by {row_var}: "
+                                            f"infinite length")
+        free = [[[(mon[1 - k], c) for mon, c in entry.items() if not mon[k]] for entry in col]
+                for col in mat.cols]
+        t = factorial(e) * prod(max(sum(abs(c) for _b, c in col[i]) for col in free)
+                                for i in range(e)) + 2
+        if _rank([[(i, sum(c * t ** b for b, c in terms)) for i, terms in enumerate(col)]
+                  for col in free], e) < e:
+            raise NotFiniteColength(f"every maximal minor is divisible by {var}: infinite length")
+    if mat.ncols == e and _rank([[(i, c) for i, entry in enumerate(col)
+                                  for mon, c in entry.items() if not any(mon)]
+                                 for col in mat.cols], e) < e:
+        raise NotFiniteColength("the determinant lies in the maximal ideal: infinite length")
 
 
 def finite_fitting(mat: PresMatrix) -> MonomialIdeal:
-    """I_e(M), certified after refuse_divisible_rows; finite length iff m-primary (Fitting)."""
-    refuse_divisible_rows(mat)
-    fit = fitting_ideal(mat, mat.rank)
-    if not fit.is_m_primary:
-        raise NotFiniteColength(f"minor ideal {fit.to_pairs()} is not m-primary: infinite length")
-    return fit
+    """I_e(M), certified after refuse_infinite_length, so m-primary (Fitting's lemma)."""
+    refuse_infinite_length(mat)
+    return fitting_ideal(mat, mat.rank)
 
 
 def closed_form_fitting(ideal: MonomialIdeal, rank: int) -> MonomialIdeal:
@@ -605,19 +652,19 @@ def colength_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:
     A graded matrix (every entry a single term, with row and column degrees
     that agree, as for build_module and from_ideal) gets the exact
     sum over the degree grid, with no cap (build_module's grading comes
-    attached, and any other is walked); a nonzero piece on an unbounded cell
-    raises NotFiniteColength.  Any other matrix goes to
-    certified_colength, whose truncation degrees stop at the cap.  Before either
-    refusal or any truncation, refuse_divisible_rows runs (never on a finite sweep).
+    attached, and any other is walked).  Any other matrix goes to
+    certified_colength, whose truncation degrees stop at the cap, after
+    refuse_infinite_length; so does a graded one whose sweep finds a nonzero
+    piece on an unbounded cell, and the proof, complete on graded input, refuses
+    it.  A finite sweep never runs the proof.
     """
     graded = _grading(mat)
-    colength = None if graded is None else _graded_sweep(*graded[:3])[0]
-    if colength is not None:
-        return colength
-    refuse_divisible_rows(mat)
-    if graded is None:
-        return certified_colength(mat, cap)[0]
-    raise NotFiniteColength("the quotient is nonzero on an unbounded cell of the degree grid")
+    if graded is not None:
+        colength = _graded_sweep(*graded[:3])[0]
+        if colength is not None:
+            return colength
+    refuse_infinite_length(mat)
+    return certified_colength(mat, cap)[0]
 
 
 def mu_module(mat: PresMatrix, cap: int = DEFAULT_CAP) -> int:

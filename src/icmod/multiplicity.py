@@ -25,7 +25,7 @@ from .modmat import (
     colength_module,
     finite_fitting,
     from_ideal,
-    refuse_divisible_rows,
+    refuse_infinite_length,
     signed_minor_table,
 )
 from .staircase import MonomialIdeal
@@ -112,14 +112,14 @@ def module_multiplicity(mat: PresMatrix, trials: int = 4, seed: int = 0,
     provably above the current best abort early; they can never improve the
     minimum.  The smallest truncation degree that certified one trial is the
     degree the next trial builds at first, since generic samples certify at
-    the same degree.  A divisible row is refused first (refuse_divisible_rows).
+    the same degree.  Infinite length is refused first (refuse_infinite_length).
     At e >= 2 the sampled matrix's own relations among its minors
     (_sampled_reduction) go to certified_colength, whose builds skip the rows
     they prove redundant; every value and degree stays as without them.
     """
     if trials < 2:
         raise ValueError("certification needs at least two trials")
-    refuse_divisible_rows(mat)
+    refuse_infinite_length(mat)
     best: int | None = None
     hits = 0
     best_coeffs: tuple[tuple[int, ...], ...] = ()

@@ -18,7 +18,7 @@ import icmod as ic
 from icmod.cli import (ATLAS_COLUMNS, MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS,
                        MAX_TRUNC_CAP, _dump, atlas_rows, main, render_svg)
 
-from conftest import refusing_work
+from conftest import Work, refusing_work
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -552,12 +552,11 @@ def test_certificate_failure_exit_code(tmp_path, capsys):
 
 
 def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, capsys):
-    # the multi-term minor x^1 y^3 + ... stores x^1 y^2 first; the message names x^1 y^3
+    # I_2 = (x^2, y^4, xy^2 + xy^3) has finite length; the multi-term minor stores x^1 y^2
+    # first, and the message names x^1 y^3
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"rank": 2, "cols": [
-        [[[1, 1, 2], [0, 0, 1]], [[0, 0, 2], [0, 1, 1]]],
-        [[[1, 0, 1]], []],
-        [[[1, 2, 2], [1, 0, 1]], [[1, 2, 1]]]]}))
+        [[[2, 0, 1]], []], [[[0, 4, 1]], []], [[[1, 2, 1], [1, 3, 1]], []], [[], [[0, 0, 1]]]]}))
     code, out, err = run(capsys, ["audit", "--check", "gap-bound", str(path)])
     assert code == 3 and not out
     assert err == ("error: NonMonomialIdeal: minor term x^1 y^3 is not reducible by the "
@@ -568,46 +567,74 @@ MATRIX_VERBS = (["length"], ["mult"], ["audit", "--check", "gap-bound"],
                 ["audit", "--check", "summand"])
 ROW_0_DIVISIBLE_BY_X = ("error: NotFiniteColength: every term of row 0 is divisible by x: "
                         "infinite length\n")
+X_DIVIDES_EVERY_MINOR = ("error: NotFiniteColength: every maximal minor is divisible by x: "
+                         "infinite length\n")
+
+
+def multi_term_cols(rng, e, n, terms, coeff=9):
+    """n columns of rank e whose entries have the given number of random terms, with
+    exponents below 1000 and coefficients of absolute value 1 to coeff."""
+    return [[[[rng.randrange(1000), rng.randrange(1000),
+               rng.choice([-1, 1]) * rng.randint(1, coeff)]
+              for _ in range(terms)] for _ in range(e)] for _ in range(n)]
+
+
+def free_terms(cols, entries):
+    """Give the first term of each listed entry x-exponent 0 and the second y-exponent 0."""
+    for j, i in entries:
+        cols[j][i][0][0] = 0
+        cols[j][i][1][1] = 0
+    return cols
 
 
 def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, capsys):
-    # the columns (x, 0), (0, x), (y, y) have no row divisible by x or y, but I_2 = (x^2, xy)
-    # holds no power of y; the refusals the row proof does not replace name the cell and I_2
+    # the columns (x, 0), (0, x), (y, y) have no row divisible by x or y, but I_2 = (x^2, xy):
+    # M(0, y) keeps only the column (y, y), of rank 1 < 2.  The rank-6 matrix of the test
+    # below with an x-free and a y-free term in every row of column 0, whose minor table
+    # and samples once ran out of memory, keeps only column 0 in M(0, y).  I_2 = (x^2, xy^3)
+    # has row 0 divisible by x.
+    rank6 = free_terms(multi_term_cols(random.Random(1), 6, 12, 2), [(0, i) for i in range(6)])
     path = tmp_path / "mat.json"
-    path.write_text(json.dumps({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
-                                                    [[[0, 1, 1]], [[0, 1, 1]]]]}))
-    audit = "minor ideal [[2, 0], [1, 1]] is not m-primary: infinite length"
-    for verb, reason in (
-            (["length"], "the quotient is nonzero on an unbounded cell of the degree grid"),
-            (["audit", "--check", "gap-bound"], audit), (["audit", "--check", "summand"], audit)):
-        code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
-        assert (code, out, err) == (3, "", f"error: NotFiniteColength: {reason}\n"), verb
-    # I_2 = (x^2, xy^3): every term of row 0 is divisible by x, so every verb gives that line
-    path.write_text(json.dumps({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]],
-                                                    [[], [[0, 3, 1]]]]}))
-    with refusing_work():
+    for mat, line in (
+            ({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[[0, 1, 1]], [[0, 1, 1]]]]},
+             X_DIVIDES_EVERY_MINOR),
+            ({"rank": 6, "cols": rank6}, X_DIVIDES_EVERY_MINOR),
+            ({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[], [[0, 3, 1]]]]},
+             ROW_0_DIVISIBLE_BY_X)):
+        path.write_text(json.dumps(mat))
         for verb in MATRIX_VERBS:
-            code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
-            assert (code, out, err) == (3, "", ROW_0_DIVISIBLE_BY_X), verb
+            start = time.perf_counter()
+            with refusing_work():
+                code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
+            assert (code, out, err) == (3, "", line), verb
+            assert time.perf_counter() - start < 1.0, (mat["rank"], verb)
 
 
 def test_multi_term_modules_with_a_divisible_row_exit_3_before_any_minor(tmp_path, capsys):
     # rank 6 with 12 columns of two-term entries, whose minor table once ran the matrix
     # audits out of memory, and rank 3 with 4 columns of 30-term entries; both are drawn
-    # from one generator, with exponents below 1000, and every term of row 0 has positive
-    # x-degree
+    # from one generator, and every term of row 0 has positive x-degree.  The same rank-6
+    # draw with an x-free and a y-free term in every entry, with coefficients below 10 and
+    # up to 2^100, passes the proof of infinite length, which reads M(0, 1) and M(1, 0) and
+    # never the large point of the Cauchy bound; the work after it is refused
     rng = random.Random(1)
+    divisible = [multi_term_cols(rng, 6, 12, 2), multi_term_cols(rng, 3, 4, 30)]
+    every_entry = [(j, i) for j in range(12) for i in range(6)]
+    admitted = [free_terms(multi_term_cols(rng, 6, 12, 2, coeff), every_entry)
+                for coeff in (9, 2 ** 100)]
     path = tmp_path / "mat.json"
-    for e, n, terms in ((6, 12, 2), (3, 4, 30)):
-        path.write_text(json.dumps({"rank": e, "cols": [[[
-            [rng.randrange(1000), rng.randrange(1000), rng.choice([-1, 1]) * rng.randint(1, 9)]
-            for _ in range(terms)] for _ in range(e)] for _ in range(n)]}))
+    for cols in divisible + admitted:
+        path.write_text(json.dumps({"rank": len(cols[0]), "cols": cols}))
         for verb in MATRIX_VERBS:
+            argv = verb[:1] + [str(path)] + verb[1:]
             start = time.perf_counter()
             with refusing_work():
-                code, out, err = run(capsys, verb[:1] + [str(path)] + verb[1:])
-            assert (code, out, err) == (3, "", ROW_0_DIVISIBLE_BY_X), (e, verb)
-            assert time.perf_counter() - start < 1.0, (e, verb)
+                if cols in admitted:
+                    with pytest.raises(Work):
+                        main(argv)
+                else:
+                    assert run(capsys, argv) == (3, "", ROW_0_DIVISIBLE_BY_X), verb
+            assert time.perf_counter() - start < 1.0, (len(cols[0]), cols in admitted, verb)
 
 
 def test_mult_refuses_a_wide_matrix_before_it_samples(tmp_path, capsys):

@@ -17,6 +17,7 @@ from icmod.modmat import (
     _certified_degree,
     _column_terms,
     _forest_fitting,
+    _graded_sweep,
     _grading,
     _relation_leads,
     _truncation,
@@ -774,6 +775,74 @@ def test_matrix_json_roundtrip(showcase_b):
         ic.matrix_from_json({"rank": 2})
     with pytest.raises(ValueError):
         ic.matrix_from_json({"rank": 2, "cols": [[[[0, 0, 1]]]]})
+
+
+# ---------------------------------------------------------------------------
+# the proof of infinite length
+# ---------------------------------------------------------------------------
+
+def proof_line(mat):
+    """The line refuse_infinite_length refuses with, or None when it passes."""
+    try:
+        modmat.refuse_infinite_length(mat)
+    except NotFiniteColength as exc:
+        return str(exc)
+    return None
+
+
+def expected_line(mat):
+    """The line the proof must give, read off the maximal minors by full expansion."""
+    for i in range(mat.rank):
+        for k, var in enumerate("xy"):
+            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
+                return f"every term of row {i} is divisible by {var}: infinite length"
+    minors = list(brute_minors(mat, mat.rank).values())
+    for k, var in enumerate("xy"):
+        if all(mon[k] for det in minors for mon in det):
+            return f"every maximal minor is divisible by {var}: infinite length"
+    if mat.ncols == mat.rank and (0, 0) not in minors[0]:
+        return "the determinant lies in the maximal ideal: infinite length"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(), truncation_matrices(), graded_matrices()))
+def test_the_proof_names_a_variable_iff_it_divides_every_maximal_minor(mat):
+    assert proof_line(mat) == expected_line(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_matrices(), st.one_of(st.none(), graded_matrices()))
+def test_the_proof_refuses_a_graded_matrix_iff_its_sweep_finds_infinite_length(mat, other):
+    # so colength_module never truncates a graded matrix
+    if other is not None:
+        mat = direct_sum(mat, other)
+    assert (proof_line(mat) is not None) == (_graded_sweep(*_grading(mat)[:3])[0] is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_matrices(), truncation_matrices(), graded_matrices()))
+def test_a_fitting_ideal_certified_after_the_proof_is_m_primary(mat):
+    # so finite_fitting needs no m-primary check of its own
+    try:
+        fit = modmat.finite_fitting(mat)
+    except (NotFiniteColength, NonMonomialIdeal):
+        return
+    assert fit.is_m_primary
+
+
+def test_the_proof_on_a_unit_entry_a_square_matrix_and_the_y_axis():
+    # y - 1 is a unit of the local ring, so (y - 1, x) presents 0, though M(0, 1) = 0
+    unit = PresMatrix(1, ((P((0, 1, 1), (0, 0, -1)),), (X,)))
+    assert proof_line(unit) is None and ic.colength_module(unit) == 0
+    # the columns (9x^2, 5), (2y, 8) have determinant 72x^2 - 10y, in m but in neither (x)
+    # nor (y)
+    square = PresMatrix(2, ((P((2, 0, 9)), P((0, 0, 5))), (P((0, 1, 2)), P((0, 0, 8)))))
+    assert proof_line(square) == "the determinant lies in the maximal ideal: infinite length"
+    # (y, 0), (0, y), (x, x): I_2 = (y^2, xy)
+    zero = BiPoly.zero()
+    swapped = PresMatrix(2, ((Y, zero), (zero, Y), (X, X)))
+    assert proof_line(swapped) == "every maximal minor is divisible by y: infinite length"
 
 
 # ---------------------------------------------------------------------------

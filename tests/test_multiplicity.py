@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import icmod as ic
 import icmod.modmat as modmat
+import icmod.multiplicity as multiplicity
 from icmod.algebra import BiPoly
 from icmod.modmat import NotFiniteColength, PresMatrix, certified_colength
 from icmod.multiplicity import ReductionSample, _sampled_reduction
@@ -67,7 +68,7 @@ def test_module_multiplicity_examples(showcase_a):
     assert s.value == 28  # area 34 minus the colength gap 6
 
 
-def test_module_multiplicity_infinite_colength():
+def test_module_multiplicity_infinite_colength(monkeypatch):
     # (x) and (x, 0) have a row divisible by x, so no sample is drawn
     for mat in (PresMatrix(1, ((BiPoly.term(1, 0),),)),
                 PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),))):
@@ -77,19 +78,24 @@ def test_module_multiplicity_infinite_colength():
     # generic combinations of x^8, y^8 certify at degree 15 only
     with pytest.raises(NotFiniteColength, match=r"truncation cap 14 \(4 of 4 trials reached it"):
         ic.module_multiplicity(ic.from_ideal(ic.canonicalize([(8, 0), (0, 8)])), cap=14)
-    # every 2 x 2 minor of a combination of one column (1, 1) vanishes
+    # one column (1, 1) spans rank 1 < 2, so x divides every (vanishing) maximal minor
     one = BiPoly.term(0, 0)
-    with pytest.raises(NotFiniteColength, match="all 4 samples were degenerate"):
+    with pytest.raises(NotFiniteColength) as info:
         ic.module_multiplicity(PresMatrix(2, ((one, one),)), trials=4, seed=0)
+    assert str(info.value) == "every maximal minor is divisible by x: infinite length"
+    # the proof refuses the known inputs whose samples all degenerate, so none is drawn here
+    monkeypatch.setattr(multiplicity, "_sampled_reduction", lambda *_args: ([], []))
+    with pytest.raises(NotFiniteColength, match="^all 4 samples were degenerate$"):
+        ic.module_multiplicity(ic.from_ideal(ic.maximal_ideal_power(1)), trials=4, seed=0)
 
 
-# every entry point that refuses infinite length through the row proof
-ROW_PROOF_ENTRIES = pytest.mark.parametrize(
+# every entry point that runs the proof of infinite length before any work
+PROOF_ENTRIES = pytest.mark.parametrize(
     "entry", [ic.module_multiplicity, modmat.finite_fitting, ic.colength_module],
     ids=lambda f: f.__name__)
 
 
-@ROW_PROOF_ENTRIES
+@PROOF_ENTRIES
 @settings(max_examples=100, deadline=None)
 @given(small_matrices(), st.data())
 def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(entry, mat, data):
@@ -118,7 +124,7 @@ def assert_samples(mat):
             ic.module_multiplicity(mat)
 
 
-@ROW_PROOF_ENTRIES
+@PROOF_ENTRIES
 @settings(max_examples=100, deadline=None)
 @given(truncation_matrices())
 def test_the_row_proof_never_refuses_a_module_of_finite_length(entry, mat):
@@ -296,7 +302,7 @@ def test_difference_formula_refuses_infinite_length_as_the_audits_do():
             ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[], [[0, 3, 1]]]],
              "every term of row 0 is divisible by x: infinite length"),
             ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[[0, 1, 1]], [[0, 1, 1]]]],
-             "minor ideal [[2, 0], [1, 1]] is not m-primary: infinite length")):
+             "every maximal minor is divisible by x: infinite length")):
         mat = ic.matrix_from_json({"rank": 2, "cols": cols})
         for check in (ic.check_difference_formula, ic.audit_gap_bound,
                       ic.audit_summand_hypotheses):
