@@ -461,8 +461,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except MemoryError:
-        print("error: out of memory; the input is too large for this request", file=sys.stderr)
-        return 4
+        pass  # the line is printed below, once the traceback has freed the failed call
     except (modmat.NonMonomialIdeal, modmat.NotFiniteColength,
             multiplicity.Uncertified) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -470,6 +469,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("error: out of memory; the input is too large for this request", file=sys.stderr)
+    return 4
 
 
 if __name__ == "__main__":

@@ -315,11 +315,20 @@ def fitting_ideal(mat: PresMatrix, t: int) -> MonomialIdeal:
     return ideal
 
 
-def _rank(cols, e: int) -> int:
-    """Rank over Q of integer columns on e rows, each a list of (row, value) pairs."""
+def _rank_at(mat: PresMatrix, k: int, t: int) -> int:
+    """Rank over Q of M with variable k (0 for x, 1 for y) set to 0 and the other to t.
+
+    At t = 0 it reads the constant terms, since 0 ** 0 == 1.
+    """
+    e = mat.rank
     span = PivotSpan(e)
-    for col in cols:
-        if span.add(col) and span.rank == e:
+    for col in mat.cols:
+        row: dict[int, int] = {}
+        for i, entry in enumerate(col):
+            for mon, c in entry.items():
+                if not mon[k]:
+                    row[i] = row.get(i, 0) + c * t ** mon[1 - k]
+        if span.add(row.items()) and span.rank == e:
             break
     return span.rank
 
@@ -327,53 +336,32 @@ def _rank(cols, e: int) -> int:
 def refuse_infinite_length(mat: PresMatrix) -> None:
     """Refuse a module whose I_e is not m-primary, so of infinite length (Fitting's lemma).
 
-    x divides every maximal minor iff M(0, y), M with every term of positive
-    x-degree dropped, has rank below e over Q(y).  Its rank at y = 1 is no
-    larger, so rank e there passes; a graded M, where M(0, y) = diag(y^-w) C
-    diag(y^delta), has there the rank it has over Q(y).  Otherwise the rank
-    is read at y = t, with t the bound e! prod_i max_j |M(0, .)_ij|_1 on the
-    absolute coefficient sum of every maximal minor of M(0, y), plus 2: no
-    root of a nonzero one (Cauchy's bound).  Before that, a row whose every
-    term is divisible by x or y (an empty row counts) is named, since it puts
-    every maximal minor in that ideal by expansion along it.  The same runs
-    for y.  A square M has I_e = (det M), in m iff M(0, 0) has rank below e.
-    The proof is complete on graded input: I_e is monomial, and if not
-    m-primary it lies in (x) or (y).
+    A square M has I_e = (det M), m-primary iff M(0, 0) has rank e, and that
+    decides.  With fewer columns than rows I_e = 0, and x is named at once.
+    Otherwise x divides every maximal minor iff M(0, y), M with every term of
+    positive x-degree dropped, has rank below e over Q(y).  Its rank at y = 1
+    is no larger, so rank e there passes; a graded M, where M(0, y) =
+    diag(y^-w) C diag(y^delta), has there the rank it has over Q(y).
+    Otherwise the rank is read at y = t, with t the bound
+    e! prod_i max_j |M(0, .)_ij|_1 on the absolute coefficient sum of every
+    maximal minor of M(0, y), plus 2: no root of a nonzero one (Cauchy's
+    bound).  The same runs for y.  The proof is complete on graded input: I_e
+    is monomial, and if not m-primary it lies in (x) or (y).
     """
     e = mat.rank
-    at_one: tuple[list, list] = ([], [])  # M(0, 1) and M(1, 0)
-    for col in mat.cols:
-        x_free, y_free = [], []
-        for i, entry in enumerate(col):
-            sx = sy = 0
-            for (a, b), c in entry.items():
-                if not a:
-                    sx += c
-                if not b:
-                    sy += c
-            x_free.append((i, sx))
-            y_free.append((i, sy))
-        at_one[0].append(x_free)
-        at_one[1].append(y_free)
+    if mat.ncols == e:
+        if _rank_at(mat, 0, 0) < e:
+            raise NotFiniteColength("the determinant lies in the maximal ideal: infinite length")
+        return
+    if mat.ncols < e:
+        raise NotFiniteColength("every maximal minor is divisible by x: infinite length")
     for k, var in enumerate("xy"):
-        if _rank(at_one[k], e) == e:
+        if _rank_at(mat, k, 1) == e:
             continue
-        for i in range(e):
-            for row_k, row_var in enumerate("xy"):
-                if all(mon[row_k] for col in mat.cols for mon, _c in col[i].items()):
-                    raise NotFiniteColength(f"every term of row {i} is divisible by {row_var}: "
-                                            f"infinite length")
-        free = [[[(mon[1 - k], c) for mon, c in entry.items() if not mon[k]] for entry in col]
-                for col in mat.cols]
-        t = factorial(e) * prod(max(sum(abs(c) for _b, c in col[i]) for col in free)
-                                for i in range(e)) + 2
-        if _rank([[(i, sum(c * t ** b for b, c in terms)) for i, terms in enumerate(col)]
-                  for col in free], e) < e:
+        t = factorial(e) * prod(max(sum(abs(c) for mon, c in col[i].items() if not mon[k])
+                                    for col in mat.cols) for i in range(e)) + 2
+        if _rank_at(mat, k, t) < e:
             raise NotFiniteColength(f"every maximal minor is divisible by {var}: infinite length")
-    if mat.ncols == e and _rank([[(i, c) for i, entry in enumerate(col)
-                                  for mon, c in entry.items() if not any(mon)]
-                                 for col in mat.cols], e) < e:
-        raise NotFiniteColength("the determinant lies in the maximal ideal: infinite length")
 
 
 def finite_fitting(mat: PresMatrix) -> MonomialIdeal:

@@ -212,6 +212,18 @@ def refusing_work():
         yield
 
 
+def cancelling_cols(rng, e: int, n: int, bits: int) -> list:
+    """n wire-format columns of rank e whose every entry is c y^a - c y^b + d x^k, with
+    exponents 1 to 999 and coefficients below 2^bits: M(0, 1) = 0 and M(0, 0) = 0, so
+    only the Cauchy point of the proof of infinite length would tell M(0, y) from 0."""
+    def entry():
+        c, d = rng.randrange(1, 2 ** bits), rng.randrange(1, 2 ** bits)
+        a, b = rng.sample(range(1, 1000), 2)
+        return [[0, a, c], [0, b, -c], [rng.randrange(1, 1000), 0, d]]
+
+    return [[entry() for _ in range(e)] for _ in range(n)]
+
+
 def permutation_det(entries) -> dict[tuple[int, int], int]:
     """Determinant of a small square matrix of polynomials, by full expansion.
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import icmod as ic
 from icmod.cli import (ATLAS_COLUMNS, MAX_COLUMNS, MAX_EXPONENT, MAX_RANK, MAX_TRIALS,
                        MAX_TRUNC_CAP, _dump, atlas_rows, main, render_svg)
 
-from conftest import Work, refusing_work
+from conftest import Work, cancelling_cols, refusing_work
 
 
 def write_ideal(tmp_path, ideal, name="ideal.json"):
@@ -565,8 +566,8 @@ def test_certificate_names_the_first_failing_term_in_canonical_order(tmp_path, c
 
 MATRIX_VERBS = (["length"], ["mult"], ["audit", "--check", "gap-bound"],
                 ["audit", "--check", "summand"])
-ROW_0_DIVISIBLE_BY_X = ("error: NotFiniteColength: every term of row 0 is divisible by x: "
-                        "infinite length\n")
+DETERMINANT_IN_M = ("error: NotFiniteColength: the determinant lies in the maximal ideal: "
+                    "infinite length\n")
 X_DIVIDES_EVERY_MINOR = ("error: NotFiniteColength: every maximal minor is divisible by x: "
                          "infinite length\n")
 
@@ -592,7 +593,9 @@ def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, caps
     # M(0, y) keeps only the column (y, y), of rank 1 < 2.  The rank-6 matrix of the test
     # below with an x-free and a y-free term in every row of column 0, whose minor table
     # and samples once ran out of memory, keeps only column 0 in M(0, y).  I_2 = (x^2, xy^3)
-    # has row 0 divisible by x.
+    # has row 0 divisible by x, a zero row of M(0, y).  The square and the narrow rank-6
+    # matrices with entries c y^a - c y^b + d x^k and 100-bit coefficients have M(0, 1) = 0;
+    # they are decided at the origin and at once, without the Cauchy point's big integers.
     rank6 = free_terms(multi_term_cols(random.Random(1), 6, 12, 2), [(0, i) for i in range(6)])
     path = tmp_path / "mat.json"
     for mat, line in (
@@ -600,7 +603,11 @@ def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, caps
              X_DIVIDES_EVERY_MINOR),
             ({"rank": 6, "cols": rank6}, X_DIVIDES_EVERY_MINOR),
             ({"rank": 2, "cols": [[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[], [[0, 3, 1]]]]},
-             ROW_0_DIVISIBLE_BY_X)):
+             X_DIVIDES_EVERY_MINOR),
+            ({"rank": 6, "cols": cancelling_cols(random.Random(1), 6, 6, 100)},
+             DETERMINANT_IN_M),
+            ({"rank": 6, "cols": cancelling_cols(random.Random(1), 6, 5, 100)},
+             X_DIVIDES_EVERY_MINOR)):
         path.write_text(json.dumps(mat))
         for verb in MATRIX_VERBS:
             start = time.perf_counter()
@@ -613,10 +620,11 @@ def test_a_module_of_infinite_length_exits_3_on_every_matrix_verb(tmp_path, caps
 def test_multi_term_modules_with_a_divisible_row_exit_3_before_any_minor(tmp_path, capsys):
     # rank 6 with 12 columns of two-term entries, whose minor table once ran the matrix
     # audits out of memory, and rank 3 with 4 columns of 30-term entries; both are drawn
-    # from one generator, and every term of row 0 has positive x-degree.  The same rank-6
-    # draw with an x-free and a y-free term in every entry, with coefficients below 10 and
-    # up to 2^100, passes the proof of infinite length, which reads M(0, 1) and M(1, 0) and
-    # never the large point of the Cauchy bound; the work after it is refused
+    # from one generator, and every term of row 0 has positive x-degree, so x divides every
+    # maximal minor.  The same rank-6 draw with an x-free and a y-free term in every entry,
+    # with coefficients below 10 and up to 2^100, passes the proof of infinite length, which
+    # reads M(0, 1) and M(1, 0) and never the large point of the Cauchy bound; the work after
+    # it is refused
     rng = random.Random(1)
     divisible = [multi_term_cols(rng, 6, 12, 2), multi_term_cols(rng, 3, 4, 30)]
     every_entry = [(j, i) for j in range(12) for i in range(6)]
@@ -633,7 +641,7 @@ def test_multi_term_modules_with_a_divisible_row_exit_3_before_any_minor(tmp_pat
                     with pytest.raises(Work):
                         main(argv)
                 else:
-                    assert run(capsys, argv) == (3, "", ROW_0_DIVISIBLE_BY_X), verb
+                    assert run(capsys, argv) == (3, "", X_DIVIDES_EVERY_MINOR), verb
             assert time.perf_counter() - start < 1.0, (len(cols[0]), cols in admitted, verb)
 
 
@@ -653,12 +661,12 @@ def test_mult_refuses_a_wide_matrix_before_it_samples(tmp_path, capsys):
     assert (code, out, err) == (4, "", f"error: matrix inputs are capped at {MAX_COLUMNS} "
                                        "columns\n")
     assert time.perf_counter() - start < 1.0
-    # its first 12 columns are admitted; every term of row 0 has positive x-degree
+    # its first 12 columns are admitted; every term of row 0 has positive x-degree, so x
+    # divides every maximal minor
     path.write_text(json.dumps({"rank": 2, "cols": cols[:MAX_COLUMNS]}))
     start = time.perf_counter()
     code, out, err = run(capsys, ["mult", str(path), "--trials", "100", "--trunc-cap", "80"])
-    assert (code, out, err) == (3, "", "error: NotFiniteColength: every term of row 0 is "
-                                       "divisible by x: infinite length\n")
+    assert (code, out, err) == (3, "", X_DIVIDES_EVERY_MINOR)
     assert time.perf_counter() - start < 1.0
 
 
@@ -672,9 +680,30 @@ def test_a_closed_form_disagreement_exits_3(tmp_path, capsys, monkeypatch, showc
 
 
 def test_running_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # the line is written only once the traceback has freed the failed call's frames,
+    # which hold what it allocated: here a marker local to the raising frame
+    markers = []
+
+    class Marker:
+        pass
+
     def exhaust(*_args, **_kwargs):
+        marker = Marker()
+        markers.append(weakref.ref(marker))
         raise MemoryError
 
+    class FreedFirst:
+        def __init__(self, stream):
+            self.stream = stream
+
+        def write(self, text):
+            assert markers[-1]() is None, "the failed call's frames are still alive"
+            return self.stream.write(text)
+
+        def flush(self):
+            self.stream.flush()
+
+    monkeypatch.setattr(sys, "stderr", FreedFirst(sys.stderr))
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"rank": 1, "cols": [[[[2, 0, 1]]], [[[1, 0, 1], [0, 1, 1]]],
                                                     [[[0, 3, 1]]]]}))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -25,9 +26,9 @@ from icmod.modmat import (
 )
 from icmod.multiplicity import COEFF_BOUND, _sampled_reduction
 
-from conftest import (P, brute_fitting, brute_minors, direct_sum, is_contracted_numeric,
-                      lattice_colength, rank_exact, small_entries, small_matrices, term_dict,
-                      truncation_matrices)
+from conftest import (P, brute_fitting, brute_minors, cancelling_cols, direct_sum,
+                      is_contracted_numeric, lattice_colength, rank_exact, small_entries,
+                      small_matrices, term_dict, truncation_matrices)
 
 
 def entries_row1(mat):
@@ -791,17 +792,17 @@ def proof_line(mat):
 
 
 def expected_line(mat):
-    """The line the proof must give, read off the maximal minors by full expansion."""
-    for i in range(mat.rank):
-        for k, var in enumerate("xy"):
-            if all(mon[k] for col in mat.cols for mon, _c in col[i].items()):
-                return f"every term of row {i} is divisible by {var}: infinite length"
+    """The line the proof must give, read off the nonzero maximal minors by full expansion:
+    a square matrix by its determinant's constant term, any other by x, then y (with fewer
+    columns than rows there is no nonzero minor, and x is named)."""
     minors = list(brute_minors(mat, mat.rank).values())
+    if mat.ncols == mat.rank:
+        if any((0, 0) in det for det in minors):
+            return None
+        return "the determinant lies in the maximal ideal: infinite length"
     for k, var in enumerate("xy"):
         if all(mon[k] for det in minors for mon in det):
             return f"every maximal minor is divisible by {var}: infinite length"
-    if mat.ncols == mat.rank and (0, 0) not in minors[0]:
-        return "the determinant lies in the maximal ideal: infinite length"
     return None
 
 
@@ -843,6 +844,16 @@ def test_the_proof_on_a_unit_entry_a_square_matrix_and_the_y_axis():
     zero = BiPoly.zero()
     swapped = PresMatrix(2, ((Y, zero), (zero, Y), (X, X)))
     assert proof_line(swapped) == "every maximal minor is divisible by y: infinite length"
+    # rank 6 with entries c y^a - c y^b + d x^k and 100-bit coefficients, so M(0, 1) = 0:
+    # the square one is decided at the origin and the narrow one (I_6 = 0) at once, where
+    # the Cauchy point of the variable test has integers of tens of thousands of bits
+    for n, line in ((6, "the determinant lies in the maximal ideal: infinite length"),
+                    (5, "every maximal minor is divisible by x: infinite length")):
+        mat = ic.matrix_from_json({"rank": 6,
+                                   "cols": cancelling_cols(random.Random(1), 6, n, 100)})
+        start = time.perf_counter()
+        assert proof_line(mat) == line
+        assert time.perf_counter() - start < 1.0, n
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,15 @@ def test_module_multiplicity_examples(showcase_a):
 
 
 def test_module_multiplicity_infinite_colength(monkeypatch):
-    # (x) and (x, 0) have a row divisible by x, so no sample is drawn
-    for mat in (PresMatrix(1, ((BiPoly.term(1, 0),),)),
-                PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),))):
+    # (x) is square with determinant x, and (x, 0) has one column on two rows, so no
+    # sample is drawn
+    for mat, line in ((PresMatrix(1, ((BiPoly.term(1, 0),),)),
+                       "the determinant lies in the maximal ideal: infinite length"),
+                      (PresMatrix(2, ((BiPoly.term(1, 0), BiPoly.zero()),)),
+                       "every maximal minor is divisible by x: infinite length")):
         with pytest.raises(NotFiniteColength) as info:
             ic.module_multiplicity(mat, trials=2, seed=0, cap=16)
-        assert str(info.value) == "every term of row 0 is divisible by x: infinite length"
+        assert str(info.value) == line
     # generic combinations of x^8, y^8 certify at degree 15 only
     with pytest.raises(NotFiniteColength, match=r"truncation cap 14 \(4 of 4 trials reached it"):
         ic.module_multiplicity(ic.from_ideal(ic.canonicalize([(8, 0), (0, 8)])), cap=14)
@@ -104,9 +107,12 @@ def test_a_row_divisible_by_a_variable_is_refused_before_any_sample(entry, mat, 
     mat = PresMatrix(mat.rank, tuple(
         col[:row] + (BiPoly(((m.a + da, m.b + db), c) for m, c in col[row].items()),)
         + col[row + 1:] for col in mat.cols))
+    # the row is a zero row of M(0, 0) and of M(0, 1) or M(1, 0)
+    line = (r"^the determinant lies in the maximal ideal: infinite length$"
+            if mat.ncols == mat.rank else r"^every maximal minor is divisible by [xy]: "
+                                          r"infinite length$")
     with refusing_work():
-        with pytest.raises(NotFiniteColength, match=r"^every term of row \d is divisible by "
-                                                    r"[xy]: infinite length$"):
+        with pytest.raises(NotFiniteColength, match=line):
             entry(mat)
 
 
@@ -300,7 +306,7 @@ def test_difference_formula_refuses_infinite_length_as_the_audits_do():
     # the columns (x, 0), (0, x), (y, y) have no such row, and I_2 = (x^2, xy)
     for cols, reason in (
             ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[], [[0, 3, 1]]]],
-             "every term of row 0 is divisible by x: infinite length"),
+             "every maximal minor is divisible by x: infinite length"),
             ([[[[1, 0, 1]], []], [[], [[1, 0, 1]]], [[[0, 1, 1]], [[0, 1, 1]]]],
              "every maximal minor is divisible by x: infinite length")):
         mat = ic.matrix_from_json({"rank": 2, "cols": cols})
